@@ -15,7 +15,10 @@ paths passes through (n, m). That gradient ("occupancy") is computed by a
 backward pass over the same lattice in O(N*M).
 
 Interior cells are processed one anti-diagonal at a time with strided slice
-views, which keeps both passes vectorized; results are deterministic.
+views, which keeps every pass vectorized; results are deterministic. The
+hard-minimum DP behind classical DTW is the same sweep with min in place of
+softmin, so the soft and hard recursions share one traversal and one border
+initialization; only its path backtracking walks cell by cell.
 """
 
 from __future__ import annotations
@@ -66,25 +69,53 @@ def soft_min(values, gamma: float) -> float:
     return float(lo - g * np.log(np.sum(np.exp((lo - arr) / g))))
 
 
-def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
-    n, m = c.shape
+def _border_fill(c: np.ndarray) -> np.ndarray:
+    # First row and column: the single path along each border.
     d = np.empty_like(c)
     d[0, :] = np.cumsum(c[0, :])
     d[:, 0] = np.cumsum(c[:, 0])
-    if n > 1 and m > 1:
-        dflat = d.ravel()
-        cflat = c.ravel()
-        step = m - 1
-        for k in range(2, n + m - 1):
-            i0 = max(1, k - m + 1)
-            i1 = min(n - 1, k - 1)
-            cur = slice(k + i0 * step, k + i1 * step + 1, step)
-            diag = dflat[k - 2 + (i0 - 1) * step : k - 2 + (i1 - 1) * step + 1 : step]
-            up = dflat[k - 1 + (i0 - 1) * step : k - 1 + (i1 - 1) * step + 1 : step]
-            left = dflat[k - 1 + i0 * step : k - 1 + i1 * step + 1 : step]
-            lo = np.minimum(np.minimum(diag, up), left)
-            s = np.exp((lo - diag) / g) + np.exp((lo - up) / g) + np.exp((lo - left) / g)
-            dflat[cur] = cflat[cur] + lo - g * np.log(s)
+    return d
+
+
+def _interior_diagonals(dflat: np.ndarray, n: int, m: int):
+    """Yield (cur, diag, up, left) for each interior anti-diagonal in order.
+
+    `cur` is the flat slice of the cells (i, k - i) of anti-diagonal k in a
+    row-major (n, m) array; `diag`, `up` and `left` are views of `dflat` at
+    their (i-1, j-1), (i-1, j) and (i, j-1) predecessors. Every predecessor
+    lies on an earlier anti-diagonal, so a caller may write `dflat[cur]`
+    before asking for the next one.
+    """
+    if n < 2 or m < 2:
+        return
+    step = m - 1
+    for k in range(2, n + m - 1):
+        first = k + max(1, k - m + 1) * step
+        stop = k + min(n - 1, k - 1) * step + 1
+        yield (
+            slice(first, stop, step),
+            dflat[first - m - 1 : stop - m - 1 : step],
+            dflat[first - m : stop - m : step],
+            dflat[first - 1 : stop - 1 : step],
+        )
+
+
+def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
+    d = _border_fill(c)
+    dflat, cflat = d.ravel(), c.ravel()
+    for cur, diag, up, left in _interior_diagonals(dflat, *c.shape):
+        lo = np.minimum(np.minimum(diag, up), left)
+        s = np.exp((lo - diag) / g) + np.exp((lo - up) / g) + np.exp((lo - left) / g)
+        dflat[cur] = cflat[cur] + lo - g * np.log(s)
+    return d
+
+
+def _hard_fill(c: np.ndarray) -> np.ndarray:
+    # The forward sweep with the hard minimum in place of softmin.
+    d = _border_fill(c)
+    dflat, cflat = d.ravel(), c.ravel()
+    for cur, diag, up, left in _interior_diagonals(dflat, *c.shape):
+        dflat[cur] = cflat[cur] + np.minimum(np.minimum(diag, up), left)
     return d
 
 
@@ -153,14 +184,7 @@ def classical_dtw(costs) -> tuple[float, list[tuple[int, int]]]:
     """
     c = as_cost_matrix(costs)
     n, m = c.shape
-    d = np.empty_like(c)
-    d[0, :] = np.cumsum(c[0, :])
-    d[:, 0] = np.cumsum(c[:, 0])
-    for i in range(1, n):
-        row = d[i]
-        prev = d[i - 1]
-        for j in range(1, m):
-            row[j] = c[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    d = _hard_fill(c)
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i > 0 or j > 0:
@@ -181,27 +205,23 @@ def classical_dtw(costs) -> tuple[float, list[tuple[int, int]]]:
     return float(d[-1, -1]), path
 
 
-def path_count(n: int, m: int) -> int:
-    """Exact number of monotone warping paths from (0, 0) to (n-1, m-1)."""
+def path_count(n: int, m: int, *, cap: int | None = None) -> int:
+    """Exact number of monotone warping paths from (0, 0) to (n-1, m-1).
+
+    With `cap`, every partial count saturates at `cap`, so large lattices
+    never build huge integers and the result is min(count, cap).
+    """
     if n < 1 or m < 1:
         raise ValueError("path_count requires n, m >= 1")
+    limit = math.inf if cap is None else cap
     row = [1] * m
     for _ in range(1, n):
         new = [1] * m
         for j in range(1, m):
-            new[j] = new[j - 1] + row[j] + row[j - 1]
+            new[j] = min(limit, new[j - 1] + row[j] + row[j - 1])
         row = new
-    return row[-1]
-
-
-def _path_count_capped(n: int, m: int, cap: int) -> int:
-    # Saturating variant: big matrices would otherwise build huge integers.
-    row = [1] * m
-    for _ in range(1, n):
-        new = [1] * m
-        for j in range(1, m):
-            new[j] = min(cap, new[j - 1] + row[j] + row[j - 1])
-        row = new
+        if row[-1] >= limit:
+            break  # counts never shrink as rows are added
     return row[-1]
 
 
@@ -243,7 +263,7 @@ def brute_force_softdtw(costs, gamma: float) -> tuple[float, np.ndarray]:
     c = as_cost_matrix(costs)
     g = _check_gamma(gamma)
     n, m = c.shape
-    if _path_count_capped(n, m, PATH_ENUMERATION_LIMIT + 1) > PATH_ENUMERATION_LIMIT:
+    if path_count(n, m, cap=PATH_ENUMERATION_LIMIT + 1) > PATH_ENUMERATION_LIMIT:
         raise TooManyPathsError(f"more than {PATH_ENUMERATION_LIMIT} paths for shape {c.shape}")
     idx = _path_cell_indices(n, m)
     cext = np.append(c.ravel(), 0.0)

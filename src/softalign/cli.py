@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
-    _path_count_capped,
     brute_force_softdtw,
     classical_dtw,
+    path_count,
     softdtw_forward,
     softdtw_gradient,
 )
@@ -157,7 +157,7 @@ def _cmd_gradcheck(args, out) -> int:
         return 1
     rng = np.random.default_rng(args.seed)
     run_oracle = (
-        _path_count_capped(args.rows, args.cols, ORACLE_CHECK_PATH_LIMIT + 1)
+        path_count(args.rows, args.cols, cap=ORACLE_CHECK_PATH_LIMIT + 1)
         <= ORACLE_CHECK_PATH_LIMIT
     )
     worst_fd = 0.0
@@ -229,6 +229,21 @@ def _cmd_datagen(args, out) -> int:
     return 0
 
 
+def _manifest_excerpt_count(directory: Path) -> int | None:
+    """Excerpt count from the `dataset.txt` that datagen writes, if present."""
+    manifest = directory / "dataset.txt"
+    if not manifest.exists():
+        return None
+    fields = {}
+    for line in manifest.read_text().splitlines():
+        key, _, value = line.strip().partition(" ")
+        fields[key] = value.strip()
+    try:
+        return int(fields["excerpts"])
+    except (KeyError, ValueError) as exc:
+        raise SequenceFileError(f"{manifest}: missing or malformed 'excerpts' line") from exc
+
+
 def _load_dataset(directory: Path) -> list[SyntheticExcerpt]:
     excerpts = []
     index = 0
@@ -246,6 +261,11 @@ def _load_dataset(directory: Path) -> list[SyntheticExcerpt]:
         index += 1
     if not excerpts:
         raise SequenceFileError(f"no excerpt files found in {directory}")
+    expected = _manifest_excerpt_count(directory)
+    if expected is not None and expected != len(excerpts):
+        raise SequenceFileError(
+            f"{directory}: dataset.txt lists {expected} excerpts, found {len(excerpts)}"
+        )
     return excerpts
 
 

@@ -8,6 +8,10 @@ import numpy as np
 
 from .core import DimensionMismatchError, FeatureSequence, PianoRoll
 
+# Element budget of the scratch buffer build_cost_matrix reuses per block of
+# rows (2**16 float64 values, 512 KiB); a block always holds at least one row.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 class CostKind(Enum):
     """Available local cost functions c(a, b). Only the squared Euclidean
@@ -55,8 +59,17 @@ def build_cost_matrix(
     if fn is not CostKind.SQUARED_EUCLIDEAN:
         raise ValueError(f"unknown cost kind {fn!r}")
     xf, yf = x.frames, y.frames
-    out = np.empty((xf.shape[0], yf.shape[0]))
-    for n in range(xf.shape[0]):
-        diff = xf[n] - yf
-        out[n] = (diff * diff).sum(axis=1)
+    (n, dim), m = xf.shape, yf.shape[0]
+    out = np.empty((n, m))
+    # Rows are done in blocks through one reused scratch buffer; the sum
+    # still runs over the contiguous feature axis of each (row, column)
+    # pair, so every entry is bit-identical to the per-row difference.
+    rows = min(n, max(1, _BLOCK_ELEMENTS // (m * dim)))
+    buf = np.empty((rows, m, dim))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        block = buf[: b - a]
+        np.subtract(xf[a:b, None, :], yf[None], out=block)
+        np.multiply(block, block, out=block)
+        block.sum(axis=2, out=out[a:b])
     return out

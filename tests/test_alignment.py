@@ -107,6 +107,13 @@ class TestPathCount:
             for m in range(1, 5):
                 assert path_count(n, m) == len(enumerate_paths(n, m))
 
+    def test_cap_saturates(self):
+        for n in range(1, 9):
+            for m in range(1, 9):
+                for cap in (1, 5, 13, 10**4):
+                    assert path_count(n, m, cap=cap) == min(path_count(n, m), cap)
+        assert path_count(2000, 2000, cap=10**6) == 10**6
+
 
 class TestForward:
     def test_single_cell(self):
@@ -264,6 +271,82 @@ class TestClassicalDtw:
             hard, _ = classical_dtw(c)
             for gamma in GAMMAS:
                 assert softdtw_forward(c, gamma).cost <= hard + 1e-9
+
+
+def _reference_classical_dtw(c):
+    """Row-by-row double loop: the hard DP before it moved onto the sweep."""
+    n, m = c.shape
+    d = np.empty_like(c)
+    d[0, :] = np.cumsum(c[0, :])
+    d[:, 0] = np.cumsum(c[:, 0])
+    for i in range(1, n):
+        for j in range(1, m):
+            d[i, j] = c[i, j] + min(d[i - 1, j - 1], d[i - 1, j], d[i, j - 1])
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = min(d[i - 1, j - 1], d[i - 1, j], d[i, j - 1])
+            if d[i - 1, j - 1] == best:
+                i, j = i - 1, j - 1
+            elif d[i - 1, j] == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    path.reverse()
+    return float(d[-1, -1]), path, d
+
+
+def _hard_case_costs(kind, seed, n, m):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((n, m)) * 10.0
+    if kind == "ties":
+        return rng.integers(0, 3, (n, m)).astype(np.float64)
+    if kind == "negative":
+        return -rng.random((n, m)) * 5.0
+    return 1e12 + rng.integers(-3, 4, (n, m)) * (1.0 + rng.random((n, m)))  # "huge"
+
+
+class TestHardSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["random", "ties", "negative", "huge"]),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 12),
+        st.integers(1, 12),
+    )
+    def test_matches_row_loop_reference(self, kind, seed, n, m):
+        from softalign.alignment import _hard_fill
+
+        c = _hard_case_costs(kind, seed, n, m)
+        ref_cost, ref_path, ref_d = _reference_classical_dtw(c)
+        cost, path = classical_dtw(c)
+        assert cost == ref_cost
+        assert path == ref_path
+        assert np.array_equal(_hard_fill(c), ref_d)
+
+    def test_all_ties_backtrack_diagonally_first(self):
+        # Backtracking starts at the end corner, so the diagonal run comes last.
+        cost, path = classical_dtw(np.zeros((5, 3)))
+        assert cost == 0.0
+        assert path == [(0, 0), (1, 0), (2, 0), (3, 1), (4, 2)]
+
+    def test_does_not_go_through_forward_fill(self, monkeypatch):
+        # Hard calls must not be counted as soft forward cells by anything
+        # that wraps the module attribute.
+        from softalign import alignment
+
+        def refuse(*args):
+            raise AssertionError("classical_dtw called _forward_fill")
+
+        monkeypatch.setattr(alignment, "_forward_fill", refuse)
+        assert classical_dtw(GOLDEN_C)[0] == 5.0
 
 
 def _all_padded_paths(n, m):

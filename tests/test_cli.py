@@ -4,6 +4,7 @@ import pytest
 from softalign import brute_force_softdtw, build_cost_matrix, CostKind, FeatureSequence
 from softalign.cli import (
     SequenceFileError,
+    _load_dataset,
     main,
     read_sequence_file,
     write_sequence_file,
@@ -181,6 +182,33 @@ class TestDatagenTrainEvalPipeline:
         assert "final.f_measure" in fields
         assert report_file.read_text().splitlines()[0].startswith("tool_version")
         assert read_sequence_file(model_file).shape == (72, 73)
+
+    def test_train_refuses_directory_missing_an_excerpt(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--seed", "3",
+                "--excerpts", "4", "--frames", "20", "--polyphony", "2", "--noise", "0.05")
+        for path in out_dir.glob("excerpt_002_*.txt"):
+            path.unlink()
+        with pytest.raises(SequenceFileError, match="lists 4 excerpts, found 2"):
+            _load_dataset(out_dir)
+        code, _, err = run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1")
+        assert code == 1
+        assert "lists 4 excerpts" in err
+
+    def test_train_refuses_malformed_manifest(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--seed", "3",
+                "--excerpts", "2", "--frames", "20", "--polyphony", "2", "--noise", "0.05")
+        (out_dir / "dataset.txt").write_text("excerpts two\n")
+        with pytest.raises(SequenceFileError, match="excerpts"):
+            _load_dataset(out_dir)
+
+    def test_directory_without_manifest_still_loads(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--seed", "3",
+                "--excerpts", "2", "--frames", "20", "--polyphony", "2", "--noise", "0.05")
+        (out_dir / "dataset.txt").unlink()
+        assert len(_load_dataset(out_dir)) == 2
 
     def test_train_reports_are_bit_identical_across_runs(self, capsys):
         args = ("train", "--variant", "w1", "--epochs", "2",

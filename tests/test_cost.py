@@ -92,3 +92,93 @@ class TestBuildCostMatrix:
         y = sequence_from_rows([[1.0, 2.0, 3.0]])
         with pytest.raises(DimensionMismatchError):
             build_cost_matrix(SQ, x, y)
+
+
+def _per_row_cost_matrix(xf, yf):
+    """One row at a time: the cost build before it was blocked."""
+    out = np.empty((xf.shape[0], yf.shape[0]))
+    for n in range(xf.shape[0]):
+        diff = xf[n] - yf
+        out[n] = (diff * diff).sum(axis=1)
+    return out
+
+
+def _reference_forward_fill(c, g):
+    """The soft forward sweep with its anti-diagonal slices written inline."""
+    n, m = c.shape
+    d = np.empty_like(c)
+    d[0, :] = np.cumsum(c[0, :])
+    d[:, 0] = np.cumsum(c[:, 0])
+    if n > 1 and m > 1:
+        dflat = d.ravel()
+        cflat = c.ravel()
+        step = m - 1
+        for k in range(2, n + m - 1):
+            i0 = max(1, k - m + 1)
+            i1 = min(n - 1, k - 1)
+            cur = slice(k + i0 * step, k + i1 * step + 1, step)
+            diag = dflat[k - 2 + (i0 - 1) * step : k - 2 + (i1 - 1) * step + 1 : step]
+            up = dflat[k - 1 + (i0 - 1) * step : k - 1 + (i1 - 1) * step + 1 : step]
+            left = dflat[k - 1 + i0 * step : k - 1 + i1 * step + 1 : step]
+            lo = np.minimum(np.minimum(diag, up), left)
+            s = np.exp((lo - diag) / g) + np.exp((lo - up) / g) + np.exp((lo - left) / g)
+            dflat[cur] = cflat[cur] + lo - g * np.log(s)
+    return d
+
+
+def _rows_per_block(m, dim):
+    from softalign.cost import _BLOCK_ELEMENTS
+
+    return max(1, _BLOCK_ELEMENTS // (m * dim))
+
+
+class TestBlockedBuild:
+    def _assert_matches_per_row(self, n, m, dim, seed=0):
+        rng = np.random.default_rng(seed)
+        xf = rng.standard_normal((n, dim))
+        yf = rng.standard_normal((m, dim))
+        got = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+        assert np.array_equal(got, _per_row_cost_matrix(xf, yf))
+
+    def test_one_row_past_a_full_block(self):
+        rows = _rows_per_block(8, 72)
+        assert rows > 1
+        self._assert_matches_per_row(rows + 1, 8, 72)
+
+    def test_several_blocks_with_a_short_tail(self):
+        rows = _rows_per_block(40, 16)
+        self._assert_matches_per_row(3 * rows + 2, 40, 16)
+
+    def test_single_column_and_single_row(self):
+        self._assert_matches_per_row(50, 1, 72)
+        self._assert_matches_per_row(1, 50, 72)
+        self._assert_matches_per_row(1, 1, 72)
+
+    def test_one_dimensional_frames(self):
+        self._assert_matches_per_row(300, 257, 1)
+
+    def test_row_larger_than_the_block_budget(self):
+        from softalign.cost import _BLOCK_ELEMENTS
+
+        m = _BLOCK_ELEMENTS // 72 + 1
+        assert _rows_per_block(m, 72) == 1
+        self._assert_matches_per_row(3, m, 72)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 130), st.integers(0, 2**31 - 1))
+    def test_random_shapes(self, n, m, dim, seed):
+        self._assert_matches_per_row(n, m, dim, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**31 - 1))
+    def test_soft_forward_pipeline_unchanged(self, n, m, seed):
+        from softalign.alignment import _forward_fill
+
+        rng = np.random.default_rng(seed)
+        xf = rng.standard_normal((n, 72))
+        yf = rng.standard_normal((m, 72))
+        c = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+        for gamma in (1e-3, 1.0, 20.0):
+            assert np.array_equal(
+                _forward_fill(c, gamma), _reference_forward_fill(_per_row_cost_matrix(xf, yf), gamma)
+            )
