@@ -13,7 +13,6 @@ from .core import (
     PianoRoll,
     RaggedRowsError,
     WrongWidthError,
-    pianoroll_validate,
     sequence_from_rows,
 )
 from .alignment import (

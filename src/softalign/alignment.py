@@ -15,10 +15,13 @@ paths passes through (n, m). That gradient ("occupancy") is computed by a
 backward pass over the same lattice in O(N*M).
 
 Interior cells are processed one anti-diagonal at a time with strided slice
-views, which keeps every pass vectorized; results are deterministic. The
-hard-minimum DP behind classical DTW is the same sweep with min in place of
-softmin, so the soft and hard recursions share one traversal and one border
-initialization; only its path backtracking walks cell by cell.
+views, which keeps every pass vectorized; results are deterministic. All
+three dynamic programs share that one traversal. The hard-minimum DP behind
+classical DTW is the forward sweep with min in place of softmin and the
+same border initialization; only its path backtracking walks cell by cell.
+The backward pass is the forward sweep over the lattice turned by 180
+degrees: a row-major array read back to front, in which each cell's
+successors become its predecessors.
 """
 
 from __future__ import annotations
@@ -84,7 +87,9 @@ def _interior_diagonals(dflat: np.ndarray, n: int, m: int):
     row-major (n, m) array; `diag`, `up` and `left` are views of `dflat` at
     their (i-1, j-1), (i-1, j) and (i, j-1) predecessors. Every predecessor
     lies on an earlier anti-diagonal, so a caller may write `dflat[cur]`
-    before asking for the next one.
+    before asking for the next one. Given a reversed view `a.ravel()[::-1]`,
+    the same slices walk the lattice turned by 180 degrees, from the end
+    corner back to the start, which is how the backward pass uses it.
     """
     if n < 2 or m < 2:
         return
@@ -129,34 +134,28 @@ def softdtw_forward(costs, gamma: float) -> SoftDtwResult:
 
 
 def _backward_fill(c: np.ndarray, d: np.ndarray, g: float) -> np.ndarray:
-    n, m = c.shape
-    # Transition weights indexed by the successor cell, zero-padded one ring;
-    # each weight is exp((D(succ) - C(succ) - D(pred)) / g), the softmin
-    # weight of that predecessor. Clamped to [0, 1] to absorb float jitter
-    # on the forced border chains at small gamma.
-    wv = np.zeros((n + 1, m + 1))
-    wh = np.zeros((n + 1, m + 1))
-    wd = np.zeros((n + 1, m + 1))
-    if n > 1:
-        wv[1:n, :m] = np.clip(np.exp((d[1:, :] - c[1:, :] - d[:-1, :]) / g), 0.0, 1.0)
-    if m > 1:
-        wh[:n, 1:m] = np.clip(np.exp((d[:, 1:] - c[:, 1:] - d[:, :-1]) / g), 0.0, 1.0)
-    if n > 1 and m > 1:
-        wd[1:n, 1:m] = np.clip(np.exp((d[1:, 1:] - c[1:, 1:] - d[:-1, :-1]) / g), 0.0, 1.0)
+    # Transition weights indexed by the cell a step leaves from: wv, wh and wd
+    # hold exp((D(succ) - C(succ) - D(cell)) / g) for the step down, right and
+    # diagonally down-right, the softmin weight of that cell in its
+    # successor's update; steps off the lattice are never read. Clamped to
+    # [0, 1] to absorb float jitter on the forced border chains at small gamma.
+    wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
+    wv[:-1, :] = np.clip(np.exp((d[1:, :] - c[1:, :] - d[:-1, :]) / g), 0.0, 1.0)
+    wh[:, :-1] = np.clip(np.exp((d[:, 1:] - c[:, 1:] - d[:, :-1]) / g), 0.0, 1.0)
+    wd[:-1, :-1] = np.clip(np.exp((d[1:, 1:] - c[1:, 1:] - d[:-1, :-1]) / g), 0.0, 1.0)
 
-    e = np.zeros((n + 1, m + 1))
-    e[n - 1, m - 1] = 1.0
-    ef, vf, hf, df = e.ravel(), wv.ravel(), wh.ravel(), wd.ravel()
-    step = m  # anti-diagonal stride of the padded (n+1, m+1) layout
-    for k in range(n + m - 3, -1, -1):
-        i0 = max(0, k - m + 1)
-        i1 = min(n - 1, k)
-        cur = slice(k + i0 * step, k + i1 * step + 1, step)
-        down = slice(k + m + 1 + i0 * step, k + m + 1 + i1 * step + 1, step)
-        right = slice(k + 1 + i0 * step, k + 1 + i1 * step + 1, step)
-        diag = slice(k + m + 2 + i0 * step, k + m + 2 + i1 * step + 1, step)
-        ef[cur] = vf[down] * ef[down] + hf[right] * ef[right] + df[diag] * ef[diag]
-    return np.clip(e[:n, :m], 0.0, 1.0)
+    # Last row and column: the single forced chain into the end corner.
+    e = np.empty(c.shape)
+    e[-1, -1] = 1.0
+    e[-1, -2::-1] = np.cumprod(wh[-1, -2::-1])
+    e[-2::-1, -1] = np.cumprod(wv[-2::-1, -1])
+    # Read back to front, the lattice is turned by 180 degrees: each cell's
+    # down, right and diagonal successors become its up, left and diagonal
+    # predecessors, so the forward sweep applies unchanged.
+    ef, vf, hf, df = e.ravel()[::-1], wv.ravel()[::-1], wh.ravel()[::-1], wd.ravel()[::-1]
+    for cur, diag, up, left in _interior_diagonals(ef, *c.shape):
+        ef[cur] = vf[cur] * up + hf[cur] * left + df[cur] * diag
+    return np.clip(e, 0.0, 1.0)
 
 
 def softdtw_gradient(costs, gamma: float) -> np.ndarray:
@@ -230,7 +229,8 @@ def _path_cell_indices(n: int, m: int) -> np.ndarray:
     """All warping paths of an (n, m) lattice as padded flat-index rows.
 
     Each row lists the row-major cell indices of one path, padded with the
-    out-of-range index n*m up to the maximum path length n+m-1.
+    out-of-range index n*m up to the maximum path length n+m-1. The array is
+    cached and shared between callers, so it is read-only.
     """
     pad = n * m
     paths: list[list[int]] = []
@@ -250,6 +250,7 @@ def _path_cell_indices(n: int, m: int) -> np.ndarray:
     out = np.full((len(paths), width), pad, dtype=np.int64)
     for r, cells in enumerate(paths):
         out[r, : len(cells)] = cells
+    out.setflags(write=False)
     return out
 
 

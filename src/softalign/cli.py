@@ -25,7 +25,7 @@ from .alignment import (
     softdtw_forward,
     softdtw_gradient,
 )
-from .core import FeatureSequence, PianoRoll, pianoroll_validate
+from .core import FeatureSequence, PianoRoll
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, evaluate
 from .targets import LabelVariant
@@ -99,7 +99,7 @@ def _emit(out, key, value) -> None:
     print(f"{key} {_fmt(value)}", file=out)
 
 
-def _norm_rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
+def norm_rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
     """Max-norm relative error: ||candidate - reference||_inf / ||reference||_inf."""
     denom = float(np.abs(reference).max())
     if denom == 0.0:
@@ -169,13 +169,13 @@ def _cmd_gradcheck(args, out) -> int:
         costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y)
         grad = softdtw_gradient(costs, args.gamma)
         fd = finite_difference_gradient(costs, args.gamma)
-        worst_fd = max(worst_fd, _norm_rel_err(grad, fd))
+        worst_fd = max(worst_fd, norm_rel_err(grad, fd))
         if run_oracle:
             oracle_cost, oracle_grad = brute_force_softdtw(costs, args.gamma)
             dp_cost = softdtw_forward(costs, args.gamma).cost
             denom = max(abs(oracle_cost), 1e-300)
             worst_oracle_cost = max(worst_oracle_cost, abs(dp_cost - oracle_cost) / denom)
-            worst_oracle_grad = max(worst_oracle_grad, _norm_rel_err(grad, oracle_grad))
+            worst_oracle_grad = max(worst_oracle_grad, norm_rel_err(grad, oracle_grad))
     _emit(out, "rows", args.rows)
     _emit(out, "cols", args.cols)
     _emit(out, "dim", args.dim)
@@ -254,8 +254,8 @@ def _load_dataset(directory: Path) -> list[SyntheticExcerpt]:
         excerpts.append(
             SyntheticExcerpt(
                 input=FeatureSequence(read_sequence_file(paths["input"])),
-                strong_target=pianoroll_validate(read_sequence_file(paths["strong"])),
-                score_target=pianoroll_validate(read_sequence_file(paths["score"])),
+                strong_target=PianoRoll(read_sequence_file(paths["strong"])),
+                score_target=PianoRoll(read_sequence_file(paths["score"])),
             )
         )
         index += 1
@@ -330,7 +330,7 @@ def _cmd_train(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     pred = FeatureSequence(read_sequence_file(args.pred_file))
-    ref = pianoroll_validate(read_sequence_file(args.ref_file))
+    ref = PianoRoll(read_sequence_file(args.ref_file))
     report = evaluate(pred, ref, args.threshold)
     _emit(out, "threshold", float(report.threshold))
     _emit(out, "cosine_similarity", report.cosine_similarity)

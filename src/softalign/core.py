@@ -115,16 +115,6 @@ def sequence_from_rows(rows) -> FeatureSequence:
     return FeatureSequence(np.asarray(rows, dtype=np.float64).reshape(len(rows), -1))
 
 
-def pianoroll_validate(candidate) -> PianoRoll:
-    """Validate a dense matrix as a piano roll (72 columns, all entries in {0,1})."""
-    arr = np.asarray(candidate, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise EmptySequenceError("a piano roll needs at least one frame")
-    if arr.shape[1] != PITCH_COUNT:
-        raise WrongWidthError(f"piano roll must have {PITCH_COUNT} columns, got {arr.shape[1]}")
-    return PianoRoll(arr)
-
-
 def as_cost_matrix(values) -> np.ndarray:
     """Validate an (N, M) dense matrix of finite local costs.
 

@@ -69,7 +69,9 @@ class LossNormalizer:
 
     The reference freezes after first use, so the first normalized loss is
     exactly 1 and the value range stays comparable across configurations.
-    A zero first loss (already-perfect model) leaves losses unnormalized.
+    A first loss <= 0 (an already-perfect model, or a soft-DTW loss that is
+    negative at large gamma) sets the reference to 1, leaving every loss
+    unnormalized.
     """
 
     reference: float | None = None

@@ -33,6 +33,7 @@ from softalign import (
     toy_dataset,
     train,
 )
+from softalign.cli import finite_difference_gradient, norm_rel_err
 
 GAMMAS = (0.5, 1.0, 10.0, 20.0)
 
@@ -40,11 +41,6 @@ GAMMAS = (0.5, 1.0, 10.0, 20.0)
 def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def norm_rel_err(candidate, reference):
-    denom = np.abs(reference).max()
-    return float(np.abs(candidate - reference).max() / (denom if denom > 0 else 1.0))
 
 
 def small_random_matrices(count=100, max_side=6, seed=202):
@@ -59,20 +55,6 @@ def small_random_matrices(count=100, max_side=6, seed=202):
 def fd_matrices(count=20, shape=(8, 7), seed=707):
     rng = np.random.default_rng(seed)
     return [rng.random(shape) for _ in range(count)]
-
-
-def finite_difference_gradient(c, gamma, h=1e-5):
-    c = np.array(c)
-    fd = np.empty_like(c)
-    for idx in np.ndindex(c.shape):
-        keep = c[idx]
-        c[idx] = keep + h
-        hi = softdtw_forward(c, gamma).cost
-        c[idx] = keep - h
-        lo = softdtw_forward(c, gamma).cost
-        c[idx] = keep
-        fd[idx] = (hi - lo) / (2 * h)
-    return fd
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +105,7 @@ class TestCriterion2GradientVsFiniteDifferences:
         worst = 0.0
         for gamma in GAMMAS:
             for c in fd_matrices():
-                fd = finite_difference_gradient(c, gamma)
+                fd = finite_difference_gradient(c, gamma, h=1e-5)
                 worst = max(worst, norm_rel_err(softdtw_gradient(c, gamma), fd))
         elapsed = time.perf_counter() - t0
         report(

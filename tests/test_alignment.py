@@ -16,6 +16,7 @@ from softalign import (
     softdtw_forward,
     softdtw_gradient,
 )
+from softalign.cli import finite_difference_gradient, norm_rel_err
 
 # Oracle-computed golden case: C = [[1, 2], [3, 4]], gamma = 1. The three
 # warping paths cost 5 (diagonal), 7 (right-down) and 8 (down-right), so
@@ -26,11 +27,6 @@ GOLDEN_COST = 4.830153980443714
 GOLDEN_E = np.array([[1.0, 0.11419519938459449], [0.04201006613406605, 1.0]])
 
 GAMMAS = (0.5, 1.0, 10.0, 20.0)
-
-
-def rel_err(candidate, reference):
-    denom = np.abs(reference).max()
-    return np.abs(candidate - reference).max() / (denom if denom > 0 else 1.0)
 
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -188,26 +184,16 @@ class TestGradient:
             for gamma in GAMMAS:
                 dp = softdtw_gradient(c, gamma)
                 oracle_cost, oracle_grad = brute_force_softdtw(c, gamma)
-                assert rel_err(dp, oracle_grad) < 1e-9
+                assert norm_rel_err(dp, oracle_grad) < 1e-9
                 assert softdtw_forward(c, gamma).cost == pytest.approx(oracle_cost, rel=1e-9)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(29)
-        h = 1e-5
         for gamma in (0.5, 1.0, 10.0):
             for _ in range(7):
                 c = rng.random((8, 7))
-                dp = softdtw_gradient(c, gamma)
-                fd = np.empty_like(c)
-                for idx in np.ndindex(c.shape):
-                    keep = c[idx]
-                    c[idx] = keep + h
-                    hi = softdtw_forward(c, gamma).cost
-                    c[idx] = keep - h
-                    lo = softdtw_forward(c, gamma).cost
-                    c[idx] = keep
-                    fd[idx] = (hi - lo) / (2 * h)
-                assert rel_err(dp, fd) < 1e-5
+                fd = finite_difference_gradient(c, gamma, h=1e-5)
+                assert norm_rel_err(softdtw_gradient(c, gamma), fd) < 1e-5
 
     def test_occupancy_bounds_and_corners(self):
         rng = np.random.default_rng(31)
@@ -349,6 +335,54 @@ class TestHardSweep:
         assert classical_dtw(GOLDEN_C)[0] == 5.0
 
 
+def _reference_backward_fill(c, d, g):
+    """Zero-padded reverse sweep: the backward pass before it moved onto the
+    shared anti-diagonal traversal."""
+    n, m = c.shape
+    wv = np.zeros((n + 1, m + 1))
+    wh = np.zeros((n + 1, m + 1))
+    wd = np.zeros((n + 1, m + 1))
+    if n > 1:
+        wv[1:n, :m] = np.clip(np.exp((d[1:, :] - c[1:, :] - d[:-1, :]) / g), 0.0, 1.0)
+    if m > 1:
+        wh[:n, 1:m] = np.clip(np.exp((d[:, 1:] - c[:, 1:] - d[:, :-1]) / g), 0.0, 1.0)
+    if n > 1 and m > 1:
+        wd[1:n, 1:m] = np.clip(np.exp((d[1:, 1:] - c[1:, 1:] - d[:-1, :-1]) / g), 0.0, 1.0)
+    e = np.zeros((n + 1, m + 1))
+    e[n - 1, m - 1] = 1.0
+    ef, vf, hf, df = e.ravel(), wv.ravel(), wh.ravel(), wd.ravel()
+    step = m
+    for k in range(n + m - 3, -1, -1):
+        i0 = max(0, k - m + 1)
+        i1 = min(n - 1, k)
+        cur = slice(k + i0 * step, k + i1 * step + 1, step)
+        down = slice(k + m + 1 + i0 * step, k + m + 1 + i1 * step + 1, step)
+        right = slice(k + 1 + i0 * step, k + 1 + i1 * step + 1, step)
+        diag = slice(k + m + 2 + i0 * step, k + m + 2 + i1 * step + 1, step)
+        ef[cur] = vf[down] * ef[down] + hf[right] * ef[right] + df[diag] * ef[diag]
+    return np.clip(e[:n, :m], 0.0, 1.0)
+
+
+class TestBackwardSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["random", "ties", "negative", "huge"]),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([1e-8, 1e-3, 1.0, 10.0, 20.0]),
+    )
+    def test_matches_padded_reference(self, kind, seed, n, m, gamma):
+        from softalign.alignment import _backward_fill, _forward_fill
+
+        c = _hard_case_costs(kind, seed, n, m)
+        d = _forward_fill(c, gamma)
+        # At gamma 1e-8 on ~1e12 costs, rounding in D(succ) - C(succ) - D(cell)
+        # overflows exp in both versions before the clip to [0, 1] absorbs it.
+        with np.errstate(over="ignore"):
+            assert np.array_equal(_backward_fill(c, d, gamma), _reference_backward_fill(c, d, gamma))
+
+
 def _all_padded_paths(n, m):
     from softalign.alignment import _path_cell_indices
 
@@ -373,7 +407,11 @@ class TestBruteForce:
         for gamma in GAMMAS:
             cost, grad = brute_force_softdtw(c, gamma)
             assert softdtw_forward(c, gamma).cost == pytest.approx(cost, rel=1e-9)
-            assert rel_err(softdtw_gradient(c, gamma), grad) < 1e-9
+            assert norm_rel_err(softdtw_gradient(c, gamma), grad) < 1e-9
+
+    def test_cached_paths_are_read_only(self):
+        with pytest.raises(ValueError):
+            _all_padded_paths(3, 3)[0, 0] = 1
 
     def test_path_limit_guard(self):
         with pytest.raises(TooManyPathsError):

@@ -10,7 +10,6 @@ from softalign import (
     PianoRoll,
     RaggedRowsError,
     WrongWidthError,
-    pianoroll_validate,
     sequence_from_rows,
 )
 
@@ -61,24 +60,26 @@ class TestSequenceFromRows:
 
 
 class TestPianorollValidate:
+    """Validation of dense matrices by the PianoRoll constructor."""
+
     def test_silence_is_valid(self):
-        roll = pianoroll_validate(np.zeros((3, 72)))
+        roll = PianoRoll(np.zeros((3, 72)))
         assert len(roll) == 3
 
     def test_non_binary_entry(self):
         mat = np.zeros((1, 72))
         mat[0, 5] = 0.5
         with pytest.raises(NotBinaryError):
-            pianoroll_validate(mat)
+            PianoRoll(mat)
 
     def test_wrong_width(self):
         with pytest.raises(WrongWidthError):
-            pianoroll_validate(np.zeros((2, 60)))
+            PianoRoll(np.zeros((2, 60)))
 
     def test_accepts_exactly_binary_72(self):
         mat = np.zeros((4, 72))
         mat[1, [3, 10, 40]] = 1.0
-        roll = pianoroll_validate(mat)
+        roll = PianoRoll(mat)
         assert np.array_equal(roll.frames, mat)
 
     @given(st.integers(0, 2**12 - 1), st.integers(1, 5))
@@ -87,7 +88,7 @@ class TestPianorollValidate:
         for b in range(12):
             if bits >> b & 1:
                 mat[:, b * 6] = 1.0
-        roll = pianoroll_validate(mat)
+        roll = PianoRoll(mat)
         assert np.array_equal(roll.frames, mat)
 
     def test_roll_is_read_only(self):

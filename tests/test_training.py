@@ -21,11 +21,7 @@ from softalign import (
     toy_dataset,
     train,
 )
-
-
-def norm_rel_err(candidate, reference):
-    denom = np.abs(reference).max()
-    return np.abs(candidate - reference).max() / (denom if denom > 0 else 1.0)
+from softalign.cli import norm_rel_err
 
 
 def small_model(d_in, seed=0):
@@ -71,6 +67,10 @@ class TestLossNormalizer:
         norm = LossNormalizer()
         assert norm.normalize(0.0) == 0.0
         assert norm.normalize(3.0) == 3.0
+        negative = LossNormalizer()
+        assert negative.normalize(-2.5) == -2.5
+        assert negative.normalize(3.0) == 3.0
+        assert negative.reference == 1.0
 
 
 class TestSoftdtwLossAndGrads:
