@@ -137,12 +137,14 @@ def _backward_fill(c: np.ndarray, d: np.ndarray, g: float) -> np.ndarray:
     # Transition weights indexed by the cell a step leaves from: wv, wh and wd
     # hold exp((D(succ) - C(succ) - D(cell)) / g) for the step down, right and
     # diagonally down-right, the softmin weight of that cell in its
-    # successor's update; steps off the lattice are never read. Clamped to
-    # [0, 1] to absorb float jitter on the forced border chains at small gamma.
+    # successor's update; steps off the lattice are never read. The exponent
+    # is clamped to <= 0 so each weight lies in [0, 1]: float jitter on the
+    # forced border chains at small gamma can make it positive, and on large
+    # costs at tiny gamma large enough to overflow exp.
     wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
-    wv[:-1, :] = np.clip(np.exp((d[1:, :] - c[1:, :] - d[:-1, :]) / g), 0.0, 1.0)
-    wh[:, :-1] = np.clip(np.exp((d[:, 1:] - c[:, 1:] - d[:, :-1]) / g), 0.0, 1.0)
-    wd[:-1, :-1] = np.clip(np.exp((d[1:, 1:] - c[1:, 1:] - d[:-1, :-1]) / g), 0.0, 1.0)
+    wv[:-1, :] = np.exp(np.minimum((d[1:, :] - c[1:, :] - d[:-1, :]) / g, 0.0))
+    wh[:, :-1] = np.exp(np.minimum((d[:, 1:] - c[:, 1:] - d[:, :-1]) / g, 0.0))
+    wd[:-1, :-1] = np.exp(np.minimum((d[1:, 1:] - c[1:, 1:] - d[:-1, :-1]) / g, 0.0))
 
     # Last row and column: the single forced chain into the end corner.
     e = np.empty(c.shape)

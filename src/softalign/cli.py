@@ -43,6 +43,11 @@ from .training import (
 
 ORACLE_CHECK_PATH_LIMIT = 10**5
 
+# EvalReport measures in the order the eval and train reports print them.
+_REPORT_FIELDS = (
+    "cosine_similarity", "precision", "recall", "f_measure", "accuracy", "average_precision",
+)
+
 
 class SequenceFileError(ValueError):
     """Raised when a sequence file cannot be parsed."""
@@ -132,7 +137,7 @@ def _cmd_align(args, out) -> int:
             file=sys.stderr,
         )
         return 1
-    costs = build_cost_matrix(CostKind(args.cost), x, y)
+    costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y)
     result = softdtw_forward(costs, args.gamma)
     _emit(out, "rows_x", len(x))
     _emit(out, "rows_y", len(y))
@@ -202,14 +207,18 @@ def _dataset_paths(directory: Path, index: int) -> dict[str, Path]:
     }
 
 
-def _cmd_datagen(args, out) -> int:
-    dataset = generate_synthetic_dataset(
-        seed=args.seed,
+def _generate_dataset(args, seed: int) -> list[SyntheticExcerpt]:
+    return generate_synthetic_dataset(
+        seed=seed,
         excerpt_count=args.excerpts,
         frames=args.frames,
         polyphony=args.polyphony,
         noise_level=args.noise,
     )
+
+
+def _cmd_datagen(args, out) -> int:
+    dataset = _generate_dataset(args, args.seed)
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     for i, excerpt in enumerate(dataset):
@@ -273,13 +282,7 @@ def _cmd_train(args, out) -> int:
     if args.data_dir is not None:
         dataset = _load_dataset(Path(args.data_dir))
     else:
-        dataset = generate_synthetic_dataset(
-            seed=args.data_seed,
-            excerpt_count=args.excerpts,
-            frames=args.frames,
-            polyphony=args.polyphony,
-            noise_level=args.noise,
-        )
+        dataset = _generate_dataset(args, args.data_seed)
     config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -308,14 +311,7 @@ def _cmd_train(args, out) -> int:
     for record in history:
         lines.append((f"epoch.{record.epoch}.loss", record.mean_loss))
     final = history[-1].report
-    lines += [
-        ("final.cosine_similarity", final.cosine_similarity),
-        ("final.precision", final.precision),
-        ("final.recall", final.recall),
-        ("final.f_measure", final.f_measure),
-        ("final.accuracy", final.accuracy),
-        ("final.average_precision", final.average_precision),
-    ]
+    lines += [(f"final.{name}", getattr(final, name)) for name in _REPORT_FIELDS]
     for key, value in lines:
         _emit(out, key, value)
     if args.report is not None:
@@ -333,12 +329,8 @@ def _cmd_eval(args, out) -> int:
     ref = PianoRoll(read_sequence_file(args.ref_file))
     report = evaluate(pred, ref, args.threshold)
     _emit(out, "threshold", float(report.threshold))
-    _emit(out, "cosine_similarity", report.cosine_similarity)
-    _emit(out, "precision", report.precision)
-    _emit(out, "recall", report.recall)
-    _emit(out, "f_measure", report.f_measure)
-    _emit(out, "accuracy", report.accuracy)
-    _emit(out, "average_precision", report.average_precision)
+    for name in _REPORT_FIELDS:
+        _emit(out, name, getattr(report, name))
     return 0
 
 
@@ -349,6 +341,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _add_dataset_flags(parser: argparse.ArgumentParser, seed_flag: str) -> None:
+    """The generator's flags, read by `_generate_dataset`."""
+    parser.add_argument(seed_flag, type=int, default=TOY_DATASET_PARAMS["seed"])
+    parser.add_argument("--excerpts", type=int, default=TOY_DATASET_PARAMS["excerpt_count"])
+    parser.add_argument("--frames", type=int, default=TOY_DATASET_PARAMS["frames"])
+    parser.add_argument("--polyphony", type=int, default=TOY_DATASET_PARAMS["polyphony"])
+    parser.add_argument("--noise", type=float, default=TOY_DATASET_PARAMS["noise_level"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="softalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -357,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("x_file")
     p_align.add_argument("y_file")
     p_align.add_argument("--gamma", type=float, default=10.0)
-    p_align.add_argument("--cost", default="squared_euclidean", choices=[k.value for k in CostKind])
     p_align.add_argument("--hard", action="store_true", help="also run classical DTW and print its path")
     p_align.add_argument("--grad", default=None, help="write the occupancy matrix to this file")
 
@@ -373,11 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_data = sub.add_parser("datagen", help="write a synthetic dataset to a directory")
     p_data.add_argument("--out", required=True)
-    p_data.add_argument("--seed", type=int, default=TOY_DATASET_PARAMS["seed"])
-    p_data.add_argument("--excerpts", type=int, default=TOY_DATASET_PARAMS["excerpt_count"])
-    p_data.add_argument("--frames", type=int, default=TOY_DATASET_PARAMS["frames"])
-    p_data.add_argument("--polyphony", type=int, default=TOY_DATASET_PARAMS["polyphony"])
-    p_data.add_argument("--noise", type=float, default=TOY_DATASET_PARAMS["noise_level"])
+    _add_dataset_flags(p_data, "--seed")
 
     p_train = sub.add_parser("train", help="train the per-frame model and report metrics")
     p_train.add_argument("--variant", default="w2", choices=[v.value for v in LabelVariant])
@@ -389,11 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=1)
     p_train.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p_train.add_argument("--data-dir", default=None, help="load a datagen directory instead of generating")
-    p_train.add_argument("--data-seed", type=int, default=TOY_DATASET_PARAMS["seed"])
-    p_train.add_argument("--excerpts", type=int, default=TOY_DATASET_PARAMS["excerpt_count"])
-    p_train.add_argument("--frames", type=int, default=TOY_DATASET_PARAMS["frames"])
-    p_train.add_argument("--polyphony", type=int, default=TOY_DATASET_PARAMS["polyphony"])
-    p_train.add_argument("--noise", type=float, default=TOY_DATASET_PARAMS["noise_level"])
+    _add_dataset_flags(p_train, "--data-seed")
     p_train.add_argument("--report", default=None, help="also write the report to this file")
     p_train.add_argument("--model-out", default=None, help="write final parameters (bias in last column)")
 

@@ -109,9 +109,12 @@ def make_variant(
     strong_roll: PianoRoll | None = None,
     score_roll: PianoRoll | None = None,
     input_len: int | None = None,
-    overtones: OvertoneModel | None = None,
 ) -> PianoRoll | FeatureSequence:
-    """Build the training target for one excerpt under the given variant."""
+    """Build the training target for one excerpt under the given variant.
+
+    OVERTONE expands the strong roll with the default OvertoneModel; this
+    is the one place that picks the overtone model of a training run.
+    """
     if variant in (LabelVariant.STRONG, LabelVariant.COLLAPSE, LabelVariant.COLLAPSE_STRETCH, LabelVariant.OVERTONE):
         if strong_roll is None:
             raise MissingStrongError(f"variant {variant.value} needs a strongly aligned roll")
@@ -132,5 +135,5 @@ def make_variant(
     if variant is LabelVariant.SCORE_STRETCH:
         return stretch_to_length(score_roll, input_len)
     if variant is LabelVariant.OVERTONE:
-        return apply_overtones(strong_roll, overtones if overtones is not None else OvertoneModel())
+        return apply_overtones(strong_roll)
     raise ValueError(f"unknown variant {variant!r}")

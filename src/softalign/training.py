@@ -9,7 +9,7 @@ Inputs are synthetic overtone spectra so the whole suite runs in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,7 +18,7 @@ from .alignment import _check_gamma, _backward_fill, _forward_fill
 from .core import DimensionMismatchError, FeatureSequence, LengthMismatchError, PianoRoll, PITCH_COUNT
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, EvalReport, evaluate
-from .targets import LabelVariant, OvertoneModel, apply_overtones, collapse_durations, make_variant
+from .targets import LabelVariant, apply_overtones, collapse_durations, make_variant
 
 
 class ConfigError(ValueError):
@@ -93,7 +93,6 @@ class TrainConfig:
     variant: LabelVariant = LabelVariant.STRONG
     loss_kind: LossKind = LossKind.SOFT_ALIGNMENT
     threshold: float = DEFAULT_THRESHOLD
-    overtones: OvertoneModel = field(default_factory=OvertoneModel)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,6 @@ def _excerpt_target(excerpt: SyntheticExcerpt, config: TrainConfig) -> PianoRoll
         strong_roll=excerpt.strong_target,
         score_roll=excerpt.score_target,
         input_len=len(excerpt.input),
-        overtones=config.overtones,
     )
 
 
@@ -219,22 +217,17 @@ def evaluate_model(
     model: LinearModel,
     dataset: list[SyntheticExcerpt],
     threshold: float = DEFAULT_THRESHOLD,
-    real_reference: bool = False,
-    overtones: OvertoneModel = OvertoneModel(),
+    cosine_ref: FeatureSequence | None = None,
 ) -> EvalReport:
     """Evaluate predictions against the strongly aligned annotations.
 
-    Excerpts are concatenated (micro-averaging). With real_reference the
-    cosine measure compares against overtone-expanded annotations instead
-    of the binary rolls.
+    Excerpts are concatenated (micro-averaging). `cosine_ref`, one frame
+    per concatenated input frame, replaces the binary rolls as the
+    reference of the cosine measure only; `train` passes its real-valued
+    overtone targets here.
     """
     preds = np.concatenate([model_forward(model, e.input).frames for e in dataset])
     rolls = np.concatenate([e.strong_target.frames for e in dataset])
-    cosine_ref = None
-    if real_reference:
-        cosine_ref = FeatureSequence(
-            np.concatenate([apply_overtones(e.strong_target, overtones).frames for e in dataset])
-        )
     return evaluate(FeatureSequence(preds), PianoRoll(rolls), threshold, cosine_ref=cosine_ref)
 
 
@@ -256,7 +249,9 @@ def train(
     normalizer = LossNormalizer()
     vel_w = np.zeros_like(model.weight)
     vel_b = np.zeros_like(model.bias)
-    real_ref = config.variant is LabelVariant.OVERTONE
+    cosine_ref = None
+    if config.variant is LabelVariant.OVERTONE:
+        cosine_ref = FeatureSequence(np.concatenate([t.frames for t in targets]))
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):
@@ -289,9 +284,7 @@ def train(
             model.weight = model.weight + vel_w
             model.bias = model.bias + vel_b
             batch_losses.append(loss)
-        report = evaluate_model(
-            model, dataset, config.threshold, real_reference=real_ref, overtones=config.overtones
-        )
+        report = evaluate_model(model, dataset, config.threshold, cosine_ref)
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -330,22 +323,25 @@ def toy_config(variant: LabelVariant, loss_kind: LossKind, epochs: int = TOY_EPO
     )
 
 
+# Range of chord-run durations in generated rolls, in frames, inclusive.
+MIN_RUN, MAX_RUN = 4, 9
+
+
 def generate_synthetic_dataset(
     seed: int,
     excerpt_count: int,
     frames: int,
     polyphony: int,
     noise_level: float,
-    min_run: int = 4,
-    max_run: int = 9,
 ) -> list[SyntheticExcerpt]:
     """Random note-like excerpts with strongly aligned and score-like rolls.
 
     Each strong roll is a sequence of chord runs (distinct adjacent
-    chords); the input is its overtone expansion plus additive Gaussian
-    noise. The score roll repeats the same chord sequence with durations
-    redrawn independently, then trimmed so it never exceeds the input
-    length (keeps the stretched variants well defined).
+    chords) drawn MIN_RUN to MAX_RUN frames long; the input is its overtone
+    expansion plus additive Gaussian noise. The score roll repeats the
+    same chord sequence with durations redrawn from the same range, then
+    trimmed so it never exceeds the input length (keeps the stretched
+    variants well defined).
     """
     if excerpt_count < 1 or frames < 1 or polyphony < 1 or polyphony > PITCH_COUNT:
         raise ValueError("invalid generator parameters")
@@ -357,7 +353,7 @@ def generate_synthetic_dataset(
         rows = []
         prev = None
         while len(rows) < frames:
-            dur = int(rng.integers(min_run, max_run + 1))
+            dur = int(rng.integers(MIN_RUN, MAX_RUN + 1))
             while True:
                 chord = np.zeros(PITCH_COUNT)
                 active = rng.choice(PITCH_COUNT, size=int(rng.integers(1, polyphony + 1)), replace=False)
@@ -369,7 +365,7 @@ def generate_synthetic_dataset(
         strong = PianoRoll(np.asarray(rows[:frames]))
 
         run_frames = collapse_durations(strong).frames
-        durs = rng.integers(min_run, max_run + 1, size=len(run_frames)).astype(int)
+        durs = rng.integers(MIN_RUN, MAX_RUN + 1, size=len(run_frames)).astype(int)
         while durs.sum() > frames:  # shrink so score fits into the input length
             durs[int(np.argmax(durs))] -= 1
         score = PianoRoll(np.repeat(run_frames, durs, axis=0))

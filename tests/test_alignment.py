@@ -378,9 +378,17 @@ class TestBackwardSweep:
         c = _hard_case_costs(kind, seed, n, m)
         d = _forward_fill(c, gamma)
         # At gamma 1e-8 on ~1e12 costs, rounding in D(succ) - C(succ) - D(cell)
-        # overflows exp in both versions before the clip to [0, 1] absorbs it.
+        # overflows exp in the reference before its clip to [0, 1] absorbs it.
         with np.errstate(over="ignore"):
-            assert np.array_equal(_backward_fill(c, d, gamma), _reference_backward_fill(c, d, gamma))
+            reference = _reference_backward_fill(c, d, gamma)
+        assert np.array_equal(_backward_fill(c, d, gamma), reference)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_huge_costs_at_tiny_gamma_do_not_overflow(self, seed):
+        c = _hard_case_costs("huge", seed, 8, 8)
+        with np.errstate(over="raise", invalid="raise"):
+            e = softdtw_gradient(c, 1e-8)
+        assert np.all((e >= 0.0) & (e <= 1.0))
 
 
 def _all_padded_paths(n, m):

@@ -12,6 +12,7 @@ from softalign import (
     TrainConfig,
     apply_overtones,
     collapse_durations,
+    evaluate,
     generate_synthetic_dataset,
     model_forward,
     per_frame_baseline_loss,
@@ -246,6 +247,22 @@ class TestTrain:
         for ra, rb in zip(hist_a, hist_b):
             assert ra.batch_losses == rb.batch_losses
             assert ra.report == rb.report
+
+    @pytest.mark.parametrize("variant", [LabelVariant.STRONG, LabelVariant.OVERTONE])
+    def test_cosine_reference_follows_variant(self, mini_data, variant):
+        # overtone runs score cosine against the overtone-expanded strong
+        # rolls, every other run against the binary rolls themselves
+        cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=2, variant=variant,
+                          loss_kind=LossKind.SOFT_ALIGNMENT)
+        model, history = train(mini_data, cfg)
+        preds = FeatureSequence(np.concatenate([model_forward(model, e.input).frames for e in mini_data]))
+        rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
+        real = FeatureSequence(np.concatenate([apply_overtones(e.strong_target).frames for e in mini_data]))
+        against_real = evaluate(preds, rolls, cfg.threshold, cosine_ref=real)
+        against_rolls = evaluate(preds, rolls, cfg.threshold)
+        assert against_real.cosine_similarity != against_rolls.cosine_similarity
+        expected = against_real if variant is LabelVariant.OVERTONE else against_rolls
+        assert history[-1].report == expected
 
     def test_batch_accumulation_matches_batch_size(self, mini_data):
         cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=3, batch_excerpts=2,
