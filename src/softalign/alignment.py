@@ -22,6 +22,19 @@ same border initialization; only its path backtracking walks cell by cell.
 The backward pass is the forward sweep over the lattice turned by 180
 degrees: a row-major array read back to front, in which each cell's
 successors become its predecessors.
+
+The soft forward and backward passes also take a (B, N, M) stack of
+lattices and update every item on each anti-diagonal, so a batch pays the
+per-diagonal Python overhead once. `_pack` zero-pads a ragged batch into
+such a stack in one of two alignments. For the forward pass items sit in
+the start corner, padded on the bottom and right: a cell reads only its
+up, left and diagonal predecessors, so each item's D is exact. For the
+backward pass items sit in the end corner, so the turned sweep starts at
+each item's own (n_b-1, m_b-1); transition weights that leave a padding
+cell are set to exactly 0, which keeps E at 0 there instead of letting it
+grow without bound. A single (N, M) lattice is never stacked: the sweep
+works on flat views with the cell position first, (N*M,) for one lattice
+and (N*M, B) for a stack, so one body with plain slices serves both.
 """
 
 from __future__ import annotations
@@ -75,21 +88,30 @@ def soft_min(values, gamma: float) -> float:
 def _border_fill(c: np.ndarray) -> np.ndarray:
     # First row and column: the single path along each border.
     d = np.empty_like(c)
-    d[0, :] = np.cumsum(c[0, :])
-    d[:, 0] = np.cumsum(c[:, 0])
+    d[..., 0, :] = np.cumsum(c[..., 0, :], axis=-1)
+    d[..., :, 0] = np.cumsum(c[..., :, 0], axis=-1)
     return d
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    # Row-major flat view with the cell position on the first axis: (N*M,)
+    # for one lattice, (N*M, B) for a stack, so one slice of the first axis
+    # selects the same cells in every item.
+    return a.reshape(*a.shape[:-2], -1).T
 
 
 def _interior_diagonals(dflat: np.ndarray, n: int, m: int):
     """Yield (cur, diag, up, left) for each interior anti-diagonal in order.
 
-    `cur` is the flat slice of the cells (i, k - i) of anti-diagonal k in a
-    row-major (n, m) array; `diag`, `up` and `left` are views of `dflat` at
-    their (i-1, j-1), (i-1, j) and (i, j-1) predecessors. Every predecessor
-    lies on an earlier anti-diagonal, so a caller may write `dflat[cur]`
-    before asking for the next one. Given a reversed view `a.ravel()[::-1]`,
-    the same slices walk the lattice turned by 180 degrees, from the end
-    corner back to the start, which is how the backward pass uses it.
+    `cur` is the slice of the flat positions of the cells (i, k - i) of
+    anti-diagonal k in a row-major (n, m) lattice; on the first axis of a
+    `_flat` view it selects them in one lattice or in every item of a
+    stack. `diag`, `up` and `left` are views of `dflat` at their
+    (i-1, j-1), (i-1, j) and (i, j-1) predecessors. Every predecessor lies
+    on an earlier anti-diagonal, so a caller may write `dflat[cur]` before
+    asking for the next one. Given a reversed view `_flat(a)[::-1]`, the
+    same slices walk the lattice turned by 180 degrees, from the end corner
+    back to the start, which is how the backward pass uses it.
     """
     if n < 2 or m < 2:
         return
@@ -105,10 +127,42 @@ def _interior_diagonals(dflat: np.ndarray, n: int, m: int):
         )
 
 
+def _pack(items: list[np.ndarray], at_end: bool = False) -> np.ndarray:
+    """Zero-padded (B, N, M) stack of ragged (n_b, m_b) lattices.
+
+    Items sit in the start corner (padded on the bottom and right), or with
+    `at_end` in the end corner (padded on the top and left). A batch of one
+    item returns that item unstacked.
+    """
+    if len(items) == 1:
+        return items[0]
+    n = max(a.shape[0] for a in items)
+    m = max(a.shape[1] for a in items)
+    stack = np.zeros((len(items), n, m))
+    for out, a in zip(stack, items):
+        rows, cols = a.shape
+        if at_end:
+            out[n - rows :, m - cols :] = a
+        else:
+            out[:rows, :cols] = a
+    return stack
+
+
+def _unpack(stack: np.ndarray, shapes: list[tuple[int, int]], at_end: bool = False) -> list[np.ndarray]:
+    """Views of the items of a stack made by `_pack` with the same `at_end`."""
+    if stack.ndim == 2:
+        return [stack]
+    n, m = stack.shape[-2:]
+    if at_end:
+        return [a[n - rows :, m - cols :] for a, (rows, cols) in zip(stack, shapes)]
+    return [a[:rows, :cols] for a, (rows, cols) in zip(stack, shapes)]
+
+
 def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
+    # c is one (N, M) lattice or a start-aligned stack from `_pack`.
     d = _border_fill(c)
-    dflat, cflat = d.ravel(), c.ravel()
-    for cur, diag, up, left in _interior_diagonals(dflat, *c.shape):
+    dflat, cflat = _flat(d), _flat(c)
+    for cur, diag, up, left in _interior_diagonals(dflat, *c.shape[-2:]):
         lo = np.minimum(np.minimum(diag, up), left)
         s = np.exp((lo - diag) / g) + np.exp((lo - up) / g) + np.exp((lo - left) / g)
         dflat[cur] = cflat[cur] + lo - g * np.log(s)
@@ -133,31 +187,51 @@ def softdtw_forward(costs, gamma: float) -> SoftDtwResult:
     return SoftDtwResult(cost=float(d[-1, -1]), accumulated=d)
 
 
-def _backward_fill(c: np.ndarray, d: np.ndarray, g: float) -> np.ndarray:
-    # Transition weights indexed by the cell a step leaves from: wv, wh and wd
-    # hold exp((D(succ) - C(succ) - D(cell)) / g) for the step down, right and
+def _backward_fill(
+    c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[int, int]] | None = None
+) -> np.ndarray:
+    # c and d are one (N, M) lattice, or an end-aligned stack from `_pack`
+    # with items of the given `shapes`. Transition weights are indexed by the
+    # cell a step leaves from: wv, wh and wd hold
+    # exp((D(succ) - C(succ) - D(cell)) / g) for the step down, right and
     # diagonally down-right, the softmin weight of that cell in its
-    # successor's update; steps off the lattice are never read. The exponent
-    # is clamped to <= 0 so each weight lies in [0, 1]: float jitter on the
-    # forced border chains at small gamma can make it positive, and on large
-    # costs at tiny gamma large enough to overflow exp.
+    # successor's update. The exponent is clamped to <= 0 so each weight
+    # lies in [0, 1]: float jitter on the forced border chains at small gamma
+    # can make it positive, and on large costs at tiny gamma large enough to
+    # overflow exp. Each array is built over the flat lattice, where the
+    # successor lies `step` cells on; steps off the lattice wrap into the
+    # next row there and are never read. One temporary at a time keeps this
+    # stage within the memory of the sweep that follows.
+    n, m = c.shape[-2:]
     wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
-    wv[:-1, :] = np.exp(np.minimum((d[1:, :] - c[1:, :] - d[:-1, :]) / g, 0.0))
-    wh[:, :-1] = np.exp(np.minimum((d[:, 1:] - c[:, 1:] - d[:, :-1]) / g, 0.0))
-    wd[:-1, :-1] = np.exp(np.minimum((d[1:, 1:] - c[1:, 1:] - d[:-1, :-1]) / g, 0.0))
+    dflat, cflat = _flat(d), _flat(c)
+    for w, step in ((wv, m), (wh, 1), (wd, m + 1)):
+        x = dflat[step:] - cflat[step:]
+        x -= dflat[:-step]
+        x /= g
+        np.exp(np.minimum(x, 0.0, out=x), out=_flat(w)[:-step])
+        del x
+    if c.ndim == 3:
+        # Steps leaving the padding above or left of an item weigh exactly 0,
+        # so E stays 0 there: with the weights of zero costs it would grow
+        # like the path counts and overflow on wide padding.
+        for w in (wv, wh, wd):
+            for item, (rows, cols) in zip(w, shapes):
+                item[: n - rows] = 0.0
+                item[:, : m - cols] = 0.0
 
     # Last row and column: the single forced chain into the end corner.
     e = np.empty(c.shape)
-    e[-1, -1] = 1.0
-    e[-1, -2::-1] = np.cumprod(wh[-1, -2::-1])
-    e[-2::-1, -1] = np.cumprod(wv[-2::-1, -1])
+    e[..., -1, -1] = 1.0
+    e[..., -1, -2::-1] = np.cumprod(wh[..., -1, -2::-1], axis=-1)
+    e[..., -2::-1, -1] = np.cumprod(wv[..., -2::-1, -1], axis=-1)
     # Read back to front, the lattice is turned by 180 degrees: each cell's
     # down, right and diagonal successors become its up, left and diagonal
     # predecessors, so the forward sweep applies unchanged.
-    ef, vf, hf, df = e.ravel()[::-1], wv.ravel()[::-1], wh.ravel()[::-1], wd.ravel()[::-1]
-    for cur, diag, up, left in _interior_diagonals(ef, *c.shape):
+    ef, vf, hf, df = (_flat(a)[::-1] for a in (e, wv, wh, wd))
+    for cur, diag, up, left in _interior_diagonals(ef, n, m):
         ef[cur] = vf[cur] * up + hf[cur] * left + df[cur] * diag
-    return np.clip(e, 0.0, 1.0)
+    return np.clip(e, 0.0, 1.0, out=e)
 
 
 def softdtw_gradient(costs, gamma: float) -> np.ndarray:

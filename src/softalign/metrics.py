@@ -85,20 +85,23 @@ def average_precision(pred: FeatureSequence, ref: PianoRoll) -> float:
     Step integration: cells are sorted by score descending, equal scores
     form one group, and AP = sum over groups of (R_k - R_{k-1}) * P_k.
     With no positive reference cell the curve is undefined; returns 0 and
-    emits a RuntimeWarning.
+    emits a RuntimeWarning. Raises ValueError if any score is NaN or
+    infinite, since such a score has no rank.
     """
     p, r = _check_pair(pred, ref)
     scores = p.ravel()
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("average_precision requires finite scores")
     labels = r.ravel() > 0.0
     n_pos = int(labels.sum())
     if n_pos == 0:
         warnings.warn("average_precision: reference has no positive cells", RuntimeWarning)
         return 0.0
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    hits = labels[order]
+    # A group's step depends only on how many cells, and how many positive
+    # cells, score at least as high as it, never on the order within a tie.
+    s = np.sort(-scores)
     group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp_at_end = np.cumsum(hits)[group_end]
+    tp_at_end = np.searchsorted(np.sort(-scores[labels]), s[group_end], side="right")
     precision_k = tp_at_end / (group_end + 1.0)
     recall_k = tp_at_end / n_pos
     return float(np.sum(np.diff(recall_k, prepend=0.0) * precision_k))

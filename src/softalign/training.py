@@ -9,12 +9,13 @@ Inputs are synthetic overtone spectra so the whole suite runs in seconds.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .alignment import _check_gamma, _backward_fill, _forward_fill
+from .alignment import _backward_fill, _check_gamma, _forward_fill, _pack, _unpack
 from .core import DimensionMismatchError, FeatureSequence, LengthMismatchError, PianoRoll, PITCH_COUNT
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, EvalReport, evaluate
@@ -119,8 +120,8 @@ class EpochRecord:
 
 def softdtw_loss_and_grads(
     model: LinearModel,
-    input: FeatureSequence,
-    target: FeatureSequence | PianoRoll,
+    input: FeatureSequence | Sequence[FeatureSequence],
+    target: FeatureSequence | PianoRoll | Sequence[FeatureSequence | PianoRoll],
     gamma: float,
     normalizer: LossNormalizer,
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -129,22 +130,40 @@ def softdtw_loss_and_grads(
     Builds the squared-Euclidean cost matrix between the model output and
     the target, runs the forward and gradient dynamic programs, and chains
     d loss / d C(n, m) through the cost and the sigmoid into (dW, db).
+
+    Given equally long sequences of inputs and targets, the loss is the
+    normalized sum of the excerpts' raw losses, and both dynamic programs
+    run once over a stack of all the excerpts' lattices; the results equal
+    those of summing single-excerpt calls in order.
     """
     g = _check_gamma(gamma)
-    z = model_forward(model, input)
-    c = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, z, target)
-    d = _forward_fill(c, g)
-    occupancy = _backward_fill(c, d, g)
-    raw = float(d[-1, -1])
+    if isinstance(input, FeatureSequence):
+        input, target = [input], [target]
+    outputs = [model_forward(model, x) for x in input]
+    costs = [
+        build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, z, y)
+        for z, y in zip(outputs, target, strict=True)
+    ]
+    shapes = [c.shape for c in costs]
+    d = _forward_fill(_pack(costs), g)
+    # Rebinding frees the start-aligned stack before the backward pass.
+    d = _pack(_unpack(d, shapes), at_end=True)
+    raw = 0.0
+    for corner in np.ravel(d[..., -1, -1]):
+        raw += float(corner)
     loss = normalizer.normalize(raw)
     scale = 1.0 / normalizer.reference
+    e = _backward_fill(_pack(costs, at_end=True), d, g, shapes)
 
-    zf, yf = z.frames, target.frames
-    # d loss / d z_n = sum_m E(n, m) * 2 (z_n - y_m)
-    grad_z = 2.0 * (zf * occupancy.sum(axis=1)[:, None] - occupancy @ yf)
-    grad_pre = grad_z * zf * (1.0 - zf) * scale
-    grad_w = grad_pre.T @ input.frames
-    grad_b = grad_pre.sum(axis=0)
+    grad_w = np.zeros_like(model.weight)
+    grad_b = np.zeros_like(model.bias)
+    for x, z, y, occupancy in zip(input, outputs, target, _unpack(e, shapes, at_end=True)):
+        zf, yf = z.frames, y.frames
+        # d loss / d z_n = sum_m E(n, m) * 2 (z_n - y_m)
+        grad_z = 2.0 * (zf * occupancy.sum(axis=1)[:, None] - occupancy @ yf)
+        grad_pre = grad_z * zf * (1.0 - zf) * scale
+        grad_w += grad_pre.T @ x.frames
+        grad_b += grad_pre.sum(axis=0)
     return loss, grad_w, grad_b
 
 
@@ -238,9 +257,10 @@ def train(
 
     One batch is `batch_excerpts` consecutive excerpt pairs; their raw
     losses and gradients are averaged, normalized by the first batch's raw
-    loss, and applied with (optional momentum) gradient descent. Every
-    epoch records the normalized batch losses, their mean, and an
-    evaluation against the strongly aligned annotations.
+    loss, and applied with (optional momentum) gradient descent. A
+    soft-DTW batch runs its dynamic programs once, over a stack of its
+    excerpts' lattices. Every epoch records the normalized batch losses,
+    their mean, and an evaluation against the strongly aligned annotations.
     """
     _validate_config(dataset, config)
     rng = np.random.default_rng(config.seed)
@@ -257,26 +277,23 @@ def train(
     for epoch in range(config.epochs):
         batch_losses: list[float] = []
         for start in range(0, len(dataset), config.batch_excerpts):
-            batch = list(zip(dataset[start : start + config.batch_excerpts],
-                             targets[start : start + config.batch_excerpts]))
-            raw_sum = 0.0
-            gw = np.zeros_like(model.weight)
-            gb = np.zeros_like(model.bias)
-            for excerpt, target in batch:
-                if config.loss_kind is LossKind.SOFT_ALIGNMENT:
-                    # normalizer applied after batch averaging; use raw here
-                    pre = LossNormalizer(reference=1.0)
-                    raw, dw, db = softdtw_loss_and_grads(
-                        model, excerpt.input, target, config.gamma, pre
-                    )
-                else:
-                    raw, dw, db = per_frame_baseline_loss(
-                        model, excerpt.input, target, config.loss_kind
-                    )
-                raw_sum += raw
-                gw += dw
-                gb += db
-            k = len(batch)
+            inputs = [e.input for e in dataset[start : start + config.batch_excerpts]]
+            batch_targets = targets[start : start + config.batch_excerpts]
+            if config.loss_kind is LossKind.SOFT_ALIGNMENT:
+                # normalizer applied after batch averaging; use raw here
+                raw_sum, gw, gb = softdtw_loss_and_grads(
+                    model, inputs, batch_targets, config.gamma, LossNormalizer(reference=1.0)
+                )
+            else:
+                raw_sum = 0.0
+                gw = np.zeros_like(model.weight)
+                gb = np.zeros_like(model.bias)
+                for x, target in zip(inputs, batch_targets):
+                    raw, dw, db = per_frame_baseline_loss(model, x, target, config.loss_kind)
+                    raw_sum += raw
+                    gw += dw
+                    gb += db
+            k = len(inputs)
             loss = normalizer.normalize(raw_sum / k)
             scale = 1.0 / (normalizer.reference * k)
             vel_w = config.momentum * vel_w - config.learning_rate * scale * gw

@@ -391,6 +391,82 @@ class TestBackwardSweep:
         assert np.all((e >= 0.0) & (e <= 1.0))
 
 
+def _stacked(items, at_end=False):
+    # `_pack` leaves a batch of one unstacked; stack it here so B = 1 also
+    # runs the batched path.
+    from softalign.alignment import _pack
+
+    return _pack(items, at_end) if len(items) > 1 else items[0][None]
+
+
+def _batched_sweeps(costs, gamma):
+    """Per-item D and E of one stacked forward and backward pass, plus the
+    backward stack itself."""
+    from softalign.alignment import _backward_fill, _forward_fill, _unpack
+
+    shapes = [c.shape for c in costs]
+    ds = _unpack(_forward_fill(_stacked(costs), gamma), shapes)
+    e = _backward_fill(_stacked(costs, at_end=True), _stacked(ds, at_end=True), gamma, shapes)
+    return ds, _unpack(e, shapes, at_end=True), e
+
+
+class TestBatchedSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["random", "ties", "negative", "huge"]),
+        st.integers(0, 2**31 - 1),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=5),
+        st.sampled_from([1e-8, 1e-3, 1.0, 10.0, 20.0]),
+    )
+    def test_matches_per_item_sweeps(self, kind, seed, shapes, gamma):
+        from softalign.alignment import _backward_fill, _forward_fill
+
+        costs = [_hard_case_costs(kind, seed + b, n, m) for b, (n, m) in enumerate(shapes)]
+        with np.errstate(over="raise", invalid="raise"):
+            ds, es, _ = _batched_sweeps(costs, gamma)
+            for c, d, e in zip(costs, ds, es):
+                single_d = _forward_fill(c, gamma)
+                assert np.array_equal(d, single_d)
+                assert np.array_equal(e, _backward_fill(c, single_d, gamma))
+
+    def test_wide_padding_stays_zero(self):
+        # A 1x1 item shares a stack with a 60x60 one: it is padded by 3,599
+        # cells, whose transition weights must be exactly 0.
+        from softalign.alignment import _forward_fill
+
+        rng = np.random.default_rng(0)
+        costs = [rng.random((1, 1)) * 10.0, rng.random((60, 60)) * 10.0]
+        with np.errstate(over="raise", invalid="raise"):
+            ds, es, stack = _batched_sweeps(costs, 1.0)
+        assert ds[0][0, 0] == costs[0][0, 0]
+        assert np.array_equal(ds[1], _forward_fill(costs[1], 1.0))
+        assert np.array_equal(es[0], [[1.0]])
+        assert np.array_equal(es[1], softdtw_gradient(costs[1], 1.0))
+        padding = np.ones(stack.shape[1:], dtype=bool)
+        padding[-1, -1] = False
+        assert np.all(stack[0][padding] == 0.0)
+
+    def test_single_item_is_not_stacked(self):
+        from softalign.alignment import _pack, _unpack
+
+        c = np.arange(6.0).reshape(2, 3)
+        for at_end in (False, True):
+            assert _pack([c], at_end) is c
+            assert _unpack(c, [c.shape], at_end)[0] is c
+
+    def test_pack_alignments(self):
+        from softalign.alignment import _pack, _unpack
+
+        items = [np.full((2, 3), 1.0), np.full((3, 1), 2.0)]
+        start, end = _pack(items), _pack(items, at_end=True)
+        assert start.shape == end.shape == (2, 3, 3)
+        assert np.array_equal(start[1], [[2, 0, 0], [2, 0, 0], [2, 0, 0]])
+        assert np.array_equal(end[0], [[0, 0, 0], [1, 1, 1], [1, 1, 1]])
+        for stack, at_end in ((start, False), (end, True)):
+            views = _unpack(stack, [a.shape for a in items], at_end)
+            assert all(np.array_equal(v, a) for v, a in zip(views, items))
+
+
 def _all_padded_paths(n, m):
     from softalign.alignment import _path_cell_indices
 

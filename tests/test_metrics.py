@@ -32,6 +32,20 @@ def sweep_oracle_ap(pred, ref):
     return ap
 
 
+def _reference_average_precision(pred, ref):
+    """Stable-argsort ranking: average_precision before it dropped the sort
+    order within tie groups."""
+    scores = pred.frames.ravel()
+    labels = ref.frames.ravel() > 0.0
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    tp_at_end = np.cumsum(labels[order])[group_end]
+    precision_k = tp_at_end / (group_end + 1.0)
+    recall_k = tp_at_end / labels.sum()
+    return float(np.sum(np.diff(recall_k, prepend=0.0) * precision_k))
+
+
 def tiny(pred_rows, ref_rows):
     pred = np.zeros((len(pred_rows), 72))
     ref = np.zeros((len(ref_rows), 72))
@@ -166,6 +180,33 @@ class TestAveragePrecision:
         base = average_precision(FeatureSequence(scores), ref)
         warped = average_precision(FeatureSequence(np.exp(3.0 * scores)), ref)
         assert warped == pytest.approx(base, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 40),
+        st.sampled_from([0, 1, 2, 6]),
+        st.floats(0.01, 0.9),
+        st.booleans(),
+    )
+    def test_matches_stable_sort_reference(self, seed, frames, decimals, density, signed):
+        # Rounded scores make tie groups common; signed ones add -0.0 ties with 0.0.
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.random((frames, 72)), decimals)
+        if signed:
+            scores = scores * rng.choice([-1.0, 1.0], scores.shape)
+        ref = PianoRoll((rng.random((frames, 72)) < density).astype(float))
+        if ref.frames.sum() == 0:
+            return
+        pred = FeatureSequence(scores)
+        assert average_precision(pred, ref) == _reference_average_precision(pred, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # FeatureSequence accepts NaN frames; ranking them would be arbitrary.
+        pred, ref = tiny([[0.9, bad, bad, 0.2]], [[0.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            average_precision(pred, ref)
 
     def test_no_positive_cells_warns_and_returns_zero(self):
         pred, ref = tiny([[0.9, 0.1]], [[0.0, 0.0]])

@@ -137,6 +137,48 @@ class TestSoftdtwLossAndGrads:
         assert norm_rel_err(gb, fd_b) < 1e-4
 
 
+    @pytest.mark.parametrize("gamma", [0.5, 10.0])
+    def test_batch_equals_ordered_sum_of_single_calls(self, gamma):
+        # Ragged lattices (inputs 7 to 12 frames, targets 3 to 9) run as one
+        # padded stack; train() adds the single-excerpt results in this order.
+        rng = np.random.default_rng(10)
+        model = small_model(5, seed=8)
+        inputs = [sequence_from_rows(rng.standard_normal((n, 5))) for n in (9, 7, 12, 7)]
+        rolls = [PianoRoll((rng.random((n, 72)) < 0.1).astype(float)) for n in (3, 9, 5, 8)]
+        targets = rolls[:3] + [model_forward(small_model(5, seed=9), inputs[3])]
+        loss, gw, gb = softdtw_loss_and_grads(model, inputs, targets, gamma, LossNormalizer(reference=1.0))
+        singles = [softdtw_loss_and_grads(model, x, y, gamma, LossNormalizer(reference=1.0))
+                   for x, y in zip(inputs, targets)]
+        want_loss, reversed_loss, want_w, want_b = 0.0, 0.0, np.zeros_like(gw), np.zeros_like(gb)
+        for single_loss, single_w, single_b in singles:
+            want_loss += single_loss
+            want_w += single_w
+            want_b += single_b
+        for single_loss, _, _ in reversed(singles):
+            reversed_loss += single_loss
+        assert reversed_loss != want_loss  # these losses can tell the order apart
+        assert loss == want_loss
+        assert np.array_equal(gw, want_w)
+        assert np.array_equal(gb, want_b)
+
+    def test_batch_of_one_equals_single_call(self):
+        rng = np.random.default_rng(10)
+        model = small_model(5)
+        x = sequence_from_rows(rng.standard_normal((6, 5)))
+        roll = PianoRoll((rng.random((4, 72)) < 0.1).astype(float))
+        single = softdtw_loss_and_grads(model, x, roll, 10.0, LossNormalizer())
+        batch = softdtw_loss_and_grads(model, [x], [roll], 10.0, LossNormalizer())
+        assert single[0] == batch[0] == 1.0
+        assert np.array_equal(single[1], batch[1]) and np.array_equal(single[2], batch[2])
+
+    def test_batch_length_mismatch_rejected(self):
+        rng = np.random.default_rng(11)
+        x = sequence_from_rows(rng.standard_normal((6, 5)))
+        roll = PianoRoll((rng.random((4, 72)) < 0.1).astype(float))
+        with pytest.raises(ValueError):
+            softdtw_loss_and_grads(small_model(5), [x, x], [roll], 10.0, LossNormalizer())
+
+
 class TestPerFrameBaseline:
     def test_perfect_prediction_l2(self):
         rng = np.random.default_rng(7)
