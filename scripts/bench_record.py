@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Record the benchmark's figures for one source tree in a BENCH_<n>.json file.
+
+    python scripts/bench_record.py --out BENCH_<n>.json [--seconds S] [--seeds N ...] [--root DIR]
+
+Runs the command declared in BENCHMARK.json (`perfbench/run.py`) from the
+root of a source checkout, once per workload and seed with tracing off, at
+the declared `run_seconds` unless `--seconds` is given. The workloads of one
+seed run back to back, so a slow phase of the machine touches every
+workload alike. One traced round per workload at the first seed
+(`--seconds 0 --trace 1`) gives the per-layer values.
+
+Per workload the file holds the median and quartiles of `work_per_s`,
+`peak_alloc_mb` and `setup_s`, `failed_frac` over every run (traced ones
+included), the traced round's per-layer values and any layer it could not
+trace. It also records the runs' `env.*` lines and whether
+`PYTHONDONTWRITEBYTECODE` is set: with it set, every set-up recompiles the
+package, so `setup_s` grows with the source.
+
+`--seconds 0 --seeds 1` is a smoke run of about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# Fixed before any run, so records of different trees share their seeds.
+SEEDS = (301, 302, 303, 304, 305)
+END_TO_END = ("work_per_s", "peak_alloc_mb", "setup_s")
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles; a single value is its own quartiles."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def run(root: Path, command: list[str], args: list[str]) -> tuple[list[str], dict]:
+    """One benchmark run: its report lines and its final JSON object."""
+    proc = subprocess.run(command + args, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"benchmark run failed ({proc.returncode}): {' '.join(command + args)}")
+    lines = proc.stdout.splitlines()
+    return lines, json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json file to write")
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="source checkout to measure (default: this one)")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length per run (default: run_seconds of BENCHMARK.json)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.root / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    names = [w["name"] for w in spec["workloads"]]
+    env: dict[str, str] = {}
+    values = {name: {metric: [] for metric in END_TO_END} for name in names}
+    tally = {name: [0, 0] for name in names}  # failed, attempted
+
+    def record(name, lines, result):
+        env.update(line[4:].split(" ", 1) for line in lines if line.startswith("env."))
+        tally[name][0] += result["failed"]
+        tally[name][1] += result["attempted"]
+
+    for seed in args.seeds:
+        for name in names:
+            print(f"{name} seed {seed}", file=sys.stderr, flush=True)
+            lines, result = run(args.root, spec["command"],
+                                ["--workload", name, "--seed", str(seed), "--seconds", str(seconds)])
+            record(name, lines, result)
+            for metric in END_TO_END:
+                values[name][metric].append(result["metrics"][metric]["value"])
+
+    workloads = {}
+    for name in names:
+        print(f"{name} traced", file=sys.stderr, flush=True)
+        lines, result = run(args.root, spec["command"],
+                            ["--workload", name, "--seed", str(args.seeds[0]), "--seconds", "0",
+                             "--trace", "1"])
+        record(name, lines, result)
+        failed, attempted = tally[name]
+        workloads[name] = {
+            **{metric: spread(values[name][metric]) for metric in END_TO_END},
+            "failed_frac": failed / attempted,
+            "trace": {key: m["value"] for key, m in result["metrics"].items()},
+            "trace_absent": [line.split(" ", 1)[1] for line in lines if line.startswith("trace.absent ")],
+        }
+
+    out = {
+        "command": spec["command"],
+        "run_seconds": seconds,
+        "seeds": args.seeds,
+        "trace_seed": args.seeds[0],
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "env": env,
+        "workloads": workloads,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -79,32 +79,53 @@ def threshold_metrics(
     return precision, recall, f_measure, accuracy
 
 
+def _positive_group_steps(
+    scores: np.ndarray, positives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Steps of the tie groups that hold a positive cell, their indices in
+    descending score order, and the number of groups.
+
+    A function of its own so that its score-sized arrays are freed before
+    the caller allocates the dense step array.
+    """
+    # Negated scores sort ascending; a group's step depends only on how many
+    # cells, and how many positive cells, score at least as high as it.
+    s = -scores
+    s.sort()
+    group_ends = np.flatnonzero(s[1:] != s[:-1])  # every group's last index but the last's
+    pos = np.sort(-scores[positives])
+    v = pos[np.append(True, pos[1:] != pos[:-1])]  # distinct positive scores
+    tp_through = np.searchsorted(pos, v, side="right")
+    tp_before = np.searchsorted(pos, v, side="left")
+    cells_through = np.searchsorted(s, v, side="right")
+    steps = (tp_through / pos.size - tp_before / pos.size) * (tp_through / cells_through)
+    return steps, np.searchsorted(group_ends, cells_through - 1), group_ends.size + 1
+
+
 def average_precision(pred: FeatureSequence, ref: PianoRoll) -> float:
     """Area under the precision-recall curve over ranked frame-bin scores.
 
     Step integration: cells are sorted by score descending, equal scores
     form one group, and AP = sum over groups of (R_k - R_{k-1}) * P_k.
-    With no positive reference cell the curve is undefined; returns 0 and
-    emits a RuntimeWarning. Raises ValueError if any score is NaN or
-    infinite, since such a score has no rank.
+    Only a group holding a positive cell has a nonzero step, so only those
+    steps are computed; they are scattered into zeros at their group
+    positions, and the sum adds the same terms in the same order as a sum
+    over every group. With no positive reference cell the curve is
+    undefined; returns 0 and emits a RuntimeWarning. Raises ValueError if
+    any score is NaN or infinite, since such a score has no rank.
     """
     p, r = _check_pair(pred, ref)
     scores = p.ravel()
     if not np.all(np.isfinite(scores)):
         raise ValueError("average_precision requires finite scores")
-    labels = r.ravel() > 0.0
-    n_pos = int(labels.sum())
-    if n_pos == 0:
+    positives = np.flatnonzero(r.ravel() > 0.0)
+    if positives.size == 0:
         warnings.warn("average_precision: reference has no positive cells", RuntimeWarning)
         return 0.0
-    # A group's step depends only on how many cells, and how many positive
-    # cells, score at least as high as it, never on the order within a tie.
-    s = np.sort(-scores)
-    group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp_at_end = np.searchsorted(np.sort(-scores[labels]), s[group_end], side="right")
-    precision_k = tp_at_end / (group_end + 1.0)
-    recall_k = tp_at_end / n_pos
-    return float(np.sum(np.diff(recall_k, prepend=0.0) * precision_k))
+    steps, groups, group_count = _positive_group_steps(scores, positives)
+    all_steps = np.zeros(group_count)
+    all_steps[groups] = steps
+    return float(np.sum(all_steps))
 
 
 def evaluate(

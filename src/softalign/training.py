@@ -49,19 +49,40 @@ class LinearModel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function of a fresh array, computed in place and returned."""
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without a masked
+    # pass: e^-|x| is one of the two exponentials and the numerator is 1 or it.
+    ez = np.abs(x)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    np.greater_equal(x, 0.0, out=x)
+    np.maximum(x, ez, out=x)
+    ez += 1.0
+    x /= ez
+    return x
 
 
 def model_forward(model: LinearModel, input: FeatureSequence) -> FeatureSequence:
     """Apply the model frame-wise: sigmoid(W x_n + b), output dimension 72."""
-    if input.dim != model.d_in:
-        raise DimensionMismatchError(f"input dimension {input.dim} != model dimension {model.d_in}")
-    return FeatureSequence(_sigmoid(input.frames @ model.weight.T + model.bias))
+    return _concatenated_forward(model, [input])
+
+
+def _concatenated_forward(model: LinearModel, inputs: list[FeatureSequence]) -> FeatureSequence:
+    """The model applied to several inputs, as one concatenated sequence.
+
+    Each input's matrix product goes into its own rows, so it keeps the
+    shape and the bits of a forward pass over that input alone; the bias
+    add and the sigmoid then run once over all rows.
+    """
+    pre = np.empty((sum(len(x) for x in inputs), PITCH_COUNT))
+    start = 0
+    for x in inputs:
+        if x.dim != model.d_in:
+            raise DimensionMismatchError(f"input dimension {x.dim} != model dimension {model.d_in}")
+        np.matmul(x.frames, model.weight.T, out=pre[start : start + len(x)])
+        start += len(x)
+    pre += model.bias
+    return FeatureSequence(_sigmoid(pre))
 
 
 @dataclass
@@ -218,9 +239,13 @@ def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> No
     dims = {e.input.dim for e in dataset}
     if len(dims) != 1:
         raise ConfigError(f"excerpts have mixed input dimensions {sorted(dims)}")
-    for e in dataset:
+    for i, e in enumerate(dataset):
         if len(e.strong_target) != len(e.input):
             raise ConfigError("strong targets must have one frame per input frame")
+        # Targets are piano rolls, finite by construction; the training path
+        # never re-validates the costs built from the inputs.
+        if not np.isfinite(e.input.frames).all():
+            raise ConfigError(f"excerpt {i} has non-finite input frames")
     if config.loss_kind is not LossKind.SOFT_ALIGNMENT:
         frame_aligned = (LabelVariant.STRONG, LabelVariant.COLLAPSE_STRETCH,
                          LabelVariant.SCORE_STRETCH, LabelVariant.OVERTONE)
@@ -245,9 +270,9 @@ def evaluate_model(
     reference of the cosine measure only; `train` passes its real-valued
     overtone targets here.
     """
-    preds = np.concatenate([model_forward(model, e.input).frames for e in dataset])
-    rolls = np.concatenate([e.strong_target.frames for e in dataset])
-    return evaluate(FeatureSequence(preds), PianoRoll(rolls), threshold, cosine_ref=cosine_ref)
+    rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in dataset]))
+    preds = _concatenated_forward(model, [e.input for e in dataset])
+    return evaluate(preds, rolls, threshold, cosine_ref=cosine_ref)
 
 
 def train(

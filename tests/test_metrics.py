@@ -46,6 +46,20 @@ def _reference_average_precision(pred, ref):
     return float(np.sum(np.diff(recall_k, prepend=0.0) * precision_k))
 
 
+def _dense_step_average_precision(pred, ref):
+    """One step per tie group, zeros included: average_precision before it
+    computed the steps of positive groups only."""
+    scores = pred.frames.ravel()
+    labels = ref.frames.ravel() > 0.0
+    n_pos = int(labels.sum())
+    s = np.sort(-scores)
+    group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    tp_at_end = np.searchsorted(np.sort(-scores[labels]), s[group_end], side="right")
+    precision_k = tp_at_end / (group_end + 1.0)
+    recall_k = tp_at_end / n_pos
+    return float(np.sum(np.diff(recall_k, prepend=0.0) * precision_k))
+
+
 def tiny(pred_rows, ref_rows):
     pred = np.zeros((len(pred_rows), 72))
     ref = np.zeros((len(ref_rows), 72))
@@ -199,6 +213,48 @@ class TestAveragePrecision:
         if ref.frames.sum() == 0:
             return
         pred = FeatureSequence(scores)
+        assert average_precision(pred, ref) == _reference_average_precision(pred, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 40),
+        st.sampled_from([0, 1, 2, 6, None]),
+        st.sampled_from([0.005, 0.1, 0.5, 0.95, 1.0]),
+        st.booleans(),
+    )
+    def test_matches_dense_step_form(self, seed, frames, decimals, density, signed):
+        # Every group, positive or not, must keep its place in the summed
+        # array: the pairwise sum's rounding depends on where the zeros sit.
+        rng = np.random.default_rng(seed)
+        scores = rng.random((frames, 72))
+        if decimals is not None:
+            scores = np.round(scores, decimals)
+        if signed:
+            scores = scores * rng.choice([-1.0, 1.0], scores.shape)
+        ref = (rng.random((frames, 72)) < density).astype(float)
+        ref[0, 0] = 1.0
+        pred, ref = FeatureSequence(scores), PianoRoll(ref)
+        assert average_precision(pred, ref) == _dense_step_average_precision(pred, ref)
+
+    @pytest.mark.parametrize("case", ["one frame", "one positive", "all positive", "all tied"])
+    def test_edge_cases_match_dense_step_form(self, case):
+        # A roll is 72 bins wide, so the smallest input is one frame.
+        rng = np.random.default_rng(3)
+        scores = np.round(rng.random((1 if case == "one frame" else 5, 72)), 1)
+        scores[:, ::7] *= -1.0  # signed zeros among the ties
+        truth = (rng.random(scores.shape) < 0.2).astype(float)
+        truth[0, 0] = 1.0
+        if case == "one positive":
+            truth[:] = 0.0
+            truth[2, 9] = 1.0
+        elif case == "all positive":
+            truth[:] = 1.0
+        elif case == "all tied":
+            scores[:] = 0.0
+            scores[::2] = -0.0
+        pred, ref = FeatureSequence(scores), PianoRoll(truth)
+        assert average_precision(pred, ref) == _dense_step_average_precision(pred, ref)
         assert average_precision(pred, ref) == _reference_average_precision(pred, ref)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from softalign import (
     ConfigError,
@@ -13,6 +16,7 @@ from softalign import (
     apply_overtones,
     collapse_durations,
     evaluate,
+    evaluate_model,
     generate_synthetic_dataset,
     model_forward,
     per_frame_baseline_loss,
@@ -23,6 +27,7 @@ from softalign import (
     train,
 )
 from softalign.cli import norm_rel_err
+from softalign.training import _sigmoid
 
 
 def small_model(d_in, seed=0):
@@ -50,6 +55,44 @@ class TestModelForward:
         out = model_forward(model, sequence_from_rows(rng.standard_normal((7, 6))))
         assert out.frames.shape == (7, 72)
         assert np.all((out.frames > 0.0) & (out.frames < 1.0))
+
+
+def _two_branch_sigmoid(x):
+    """The sigmoid as it was before the branch-free form: one masked pass
+    per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+             36.8, -36.8, 708.5, -708.5, 709.8, -709.8, 746.0, -746.0, 1e308, -1e308]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                      elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                                   allow_subnormal=True),
+                                         st.floats(-800.0, 800.0),
+                                         st.sampled_from(EDGES))))
+    def test_matches_two_branch_form(self, x):
+        # Both forms underflow exp for |x| > 708; nothing else may raise.
+        with np.errstate(all="raise", under="ignore"):
+            got, want = _sigmoid(x.copy()), _two_branch_sigmoid(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        # +0.0 and -0.0 compare equal; the sign must match too (NaN aside)
+        finite = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+    def test_edge_values(self):
+        x = np.array(self.EDGES)
+        with np.errstate(all="raise", under="ignore"):
+            got = _sigmoid(x.copy())
+        assert np.array_equal(got, _two_branch_sigmoid(x), equal_nan=True)
+        assert got[2] == 1.0 and got[3] == 0.0 and np.isnan(got[4])
 
 
 class TestLossNormalizer:
@@ -305,6 +348,37 @@ class TestTrain:
         assert against_real.cosine_similarity != against_rolls.cosine_similarity
         expected = against_real if variant is LabelVariant.OVERTONE else against_rolls
         assert history[-1].report == expected
+
+    @pytest.mark.parametrize("loss", [LossKind.SOFT_ALIGNMENT, LossKind.PER_FRAME_CE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected_before_training(self, mini_data, loss, bad):
+        frames = mini_data[1].input.frames.copy()
+        frames[3, 5] = bad
+        data = [mini_data[0], type(mini_data[1])(
+            input=FeatureSequence(frames),
+            strong_target=mini_data[1].strong_target,
+            score_target=mini_data[1].score_target,
+        )]
+        cfg = TrainConfig(learning_rate=1.0, epochs=1, variant=LabelVariant.STRONG, loss_kind=loss)
+        with pytest.raises(ConfigError, match="excerpt 1 "):
+            train(data, cfg)
+
+    @pytest.mark.parametrize("variant", [LabelVariant.STRONG, LabelVariant.OVERTONE])
+    def test_evaluate_model_equals_per_excerpt_composition(self, mini_data, variant):
+        # one forward over all excerpts must give the report of a forward
+        # pass per excerpt (as model_forward computed it before) and evaluate
+        model = small_model(mini_data[0].input.dim, seed=8)
+        cosine_ref = None
+        if variant is LabelVariant.OVERTONE:
+            cosine_ref = FeatureSequence(
+                np.concatenate([apply_overtones(e.strong_target).frames for e in mini_data])
+            )
+        preds = FeatureSequence(np.concatenate([
+            _two_branch_sigmoid(e.input.frames @ model.weight.T + model.bias) for e in mini_data
+        ]))
+        rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
+        want = evaluate(preds, rolls, 0.4, cosine_ref=cosine_ref)
+        assert evaluate_model(model, mini_data, 0.4, cosine_ref) == want
 
     def test_batch_accumulation_matches_batch_size(self, mini_data):
         cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=3, batch_excerpts=2,
