@@ -30,7 +30,6 @@ from .targets import (
     LabelVariant,
     MissingScoreError,
     MissingStrongError,
-    OvertoneModel,
     ShrinkNotSupportedError,
     apply_overtones,
     collapse_durations,

@@ -7,6 +7,7 @@ whole set.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ def threshold_metrics(
     no predicted (or no reference) positives; F is 0 when P + R = 0;
     accuracy TP/(TP+FP+FN) is 1 when that denominator is 0.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     p, r = _check_pair(pred, ref)
     hits = p >= threshold
     truth = r > 0.0

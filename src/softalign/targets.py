@@ -10,7 +10,6 @@ expanding each active pitch with a harmonic overtone model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -45,28 +44,6 @@ class LabelVariant(Enum):
     OVERTONE = "overtone"  # strongly aligned roll expanded to real overtone energy
 
 
-@dataclass(frozen=True)
-class OvertoneModel:
-    """Harmonic expansion of active pitches into real-valued energy.
-
-    Overtone n (n = 1..overtone_count) of a pitch lands
-    round(12 * log2(n + 1)) semitone bins above the fundamental with
-    amplitude decay_base**n; the fundamental itself has amplitude 1.
-    Contributions from different pitches add and each bin saturates at
-    `saturation`. Bins above the 72-bin range are discarded.
-    """
-
-    overtone_count: int = 10
-    decay_base: float = 1.0 / 3.0
-    saturation: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.overtone_count < 0:
-            raise ValueError("overtone_count must be >= 0")
-        if not 0.0 < self.decay_base < 1.0:
-            raise ValueError("decay_base must lie strictly between 0 and 1")
-
-
 def collapse_durations(roll: PianoRoll) -> PianoRoll:
     """Merge runs of consecutive identical frames into single frames."""
     frames = roll.frames
@@ -91,17 +68,31 @@ def stretch_to_length(roll: PianoRoll, target_len: int) -> PianoRoll:
     return PianoRoll(roll.frames[idx])
 
 
-def apply_overtones(roll: PianoRoll, model: OvertoneModel = OvertoneModel()) -> FeatureSequence:
-    """Expand a binary roll into real-valued per-frame overtone energy."""
+def _overtone_kernel() -> np.ndarray:
+    # Row p is what pitch p puts into each bin. The offsets of the
+    # fundamental (n = 0) and its overtones are distinct, so each entry
+    # receives one amplitude. 3.0**-n would round differently from n = 3.
     kernel = np.zeros((PITCH_COUNT, PITCH_COUNT))
-    offsets = [0] + [round(12.0 * math.log2(n + 1)) for n in range(1, model.overtone_count + 1)]
-    amplitudes = [1.0] + [model.decay_base**n for n in range(1, model.overtone_count + 1)]
-    for pitch in range(PITCH_COUNT):
-        for off, amp in zip(offsets, amplitudes):
-            if pitch + off < PITCH_COUNT:
-                kernel[pitch, pitch + off] += amp
-    energy = np.minimum(roll.frames @ kernel, model.saturation)
-    return FeatureSequence(energy)
+    for n in range(11):
+        off = round(12.0 * math.log2(n + 1))
+        kernel[np.arange(PITCH_COUNT - off), np.arange(off, PITCH_COUNT)] += (1.0 / 3.0) ** n
+    kernel.flags.writeable = False
+    return kernel
+
+
+_OVERTONE_KERNEL = _overtone_kernel()
+
+
+def apply_overtones(roll: PianoRoll) -> FeatureSequence:
+    """Expand a binary roll into real-valued per-frame overtone energy.
+
+    Each active pitch has its fundamental at amplitude 1 and overtones
+    n = 1..10, overtone n landing round(12 * log2(n + 1)) semitone bins
+    above the fundamental with amplitude (1/3)**n. Contributions from
+    different pitches add, each bin saturates at 1, and bins above the
+    72-bin range are discarded.
+    """
+    return FeatureSequence(np.minimum(roll.frames @ _OVERTONE_KERNEL, 1.0))
 
 
 def make_variant(
@@ -110,11 +101,7 @@ def make_variant(
     score_roll: PianoRoll | None = None,
     input_len: int | None = None,
 ) -> PianoRoll | FeatureSequence:
-    """Build the training target for one excerpt under the given variant.
-
-    OVERTONE expands the strong roll with the default OvertoneModel; this
-    is the one place that picks the overtone model of a training run.
-    """
+    """Build the training target for one excerpt under the given variant."""
     if variant in (LabelVariant.STRONG, LabelVariant.COLLAPSE, LabelVariant.COLLAPSE_STRETCH, LabelVariant.OVERTONE):
         if strong_roll is None:
             raise MissingStrongError(f"variant {variant.value} needs a strongly aligned roll")

@@ -9,6 +9,7 @@ Inputs are synthetic overtone spectra so the whole suite runs in seconds.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -215,21 +216,14 @@ def per_frame_baseline_loss(
     return loss, grad_w, grad_b
 
 
-def _excerpt_target(excerpt: SyntheticExcerpt, config: TrainConfig) -> PianoRoll | FeatureSequence:
-    return make_variant(
-        config.variant,
-        strong_roll=excerpt.strong_target,
-        score_roll=excerpt.score_target,
-        input_len=len(excerpt.input),
-    )
-
-
 def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> None:
     if not dataset:
         raise ConfigError("dataset is empty")
     _check_gamma(config.gamma)
-    if config.learning_rate <= 0.0:
-        raise ConfigError("learning_rate must be positive")
+    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0.0):
+        raise ConfigError("learning_rate must be positive and finite")
+    if not math.isfinite(config.threshold):
+        raise ConfigError("threshold must be finite")
     if config.epochs < 1:
         raise ConfigError("epochs must be >= 1")
     if config.batch_excerpts < 1:
@@ -290,7 +284,11 @@ def train(
     _validate_config(dataset, config)
     rng = np.random.default_rng(config.seed)
     model = LinearModel.initialize(dataset[0].input.dim, rng)
-    targets = [_excerpt_target(e, config) for e in dataset]
+    targets = [
+        make_variant(config.variant, strong_roll=e.strong_target, score_roll=e.score_target,
+                     input_len=len(e.input))
+        for e in dataset
+    ]
     normalizer = LossNormalizer()
     vel_w = np.zeros_like(model.weight)
     vel_b = np.zeros_like(model.bias)
@@ -352,11 +350,11 @@ def toy_dataset() -> list[SyntheticExcerpt]:
     return generate_synthetic_dataset(**TOY_DATASET_PARAMS)
 
 
-def toy_config(variant: LabelVariant, loss_kind: LossKind, epochs: int = TOY_EPOCHS) -> TrainConfig:
+def toy_config(variant: LabelVariant, loss_kind: LossKind) -> TrainConfig:
     """Bundled hyperparameters for one toy run."""
     return TrainConfig(
         learning_rate=TOY_LEARNING_RATE,
-        epochs=epochs,
+        epochs=TOY_EPOCHS,
         gamma=10.0,
         momentum=TOY_MOMENTUM,
         seed=1,

@@ -48,6 +48,11 @@ class TestSoftMin:
         with pytest.raises(ValueError):
             soft_min([1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite values"):
+            soft_min([1.0, bad], 1.0)
+
     @given(st.lists(finite_floats, min_size=1, max_size=12), st.floats(1e-3, 100.0))
     def test_lower_bound_of_min(self, values, gamma):
         assert soft_min(values, gamma) <= min(values)
@@ -109,6 +114,11 @@ class TestPathCount:
                 for cap in (1, 5, 13, 10**4):
                     assert path_count(n, m, cap=cap) == min(path_count(n, m), cap)
         assert path_count(2000, 2000, cap=10**6) == 10**6
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0), (-1, 2)])
+    def test_rejects_sizes_below_one(self, n, m):
+        with pytest.raises(ValueError, match="n, m >= 1"):
+            path_count(n, m)
 
 
 class TestForward:

@@ -57,6 +57,21 @@ class TestSequenceFile:
         with pytest.raises(SequenceFileError):
             read_sequence_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("\n   \n", "empty file"),
+        ("two 2\n1.0 2.0\n", "bad header"),
+        ("2 x\n1.0 2.0\n3.0 4.0\n", "bad header"),
+        ("2 2\n1.0 2.0\n3.0\n", "row 2 has 1 values, expected 2"),
+        ("1 2\n1.0 2.0 3.0\n", "row 1 has 3 values, expected 2"),
+        ("1 2\n1.0 abc\n", "row 1 has a non-numeric token"),
+    ])
+    def test_malformed_files_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SequenceFileError, match=message):
+            read_sequence_file(path)
+
 
 class TestAlignCommand:
     def test_identical_single_frame_costs_zero(self, tmp_path, capsys):
@@ -145,6 +160,14 @@ class TestGradcheckCommand:
         assert code == 0
         assert report_dict(out)["pass"] == "true"
 
+    @pytest.mark.parametrize("flag", ["--rows", "--cols", "--dim", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_sizes_below_one_exit_one(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "gradcheck", flag, value)
+        assert code == 1
+        assert out == ""
+        assert "rows, cols, dim and trials must be >= 1" in err
+
     def test_impossible_tolerance_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys, "gradcheck", "--rows", "4", "--cols", "4", "--trials", "1",
@@ -203,6 +226,31 @@ class TestDatagenTrainEvalPipeline:
         with pytest.raises(SequenceFileError, match="excerpts"):
             _load_dataset(out_dir)
 
+    @pytest.mark.parametrize("contents", ["nothing", "manifest only", "missing"])
+    def test_train_refuses_directory_without_excerpts(self, tmp_path, capsys, contents):
+        data_dir = tmp_path / "data"
+        if contents != "missing":
+            data_dir.mkdir()
+        if contents == "manifest only":
+            (data_dir / "dataset.txt").write_text("excerpts 0\n")
+        code, out, err = run_cli(capsys, "train", "--data-dir", str(data_dir), "--epochs", "1")
+        assert code == 1
+        assert out == ""
+        assert "no excerpt files found" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning_rate must be positive and finite"),
+        ("--lr", "inf", "learning_rate must be positive and finite"),
+        ("--threshold", "nan", "threshold must be finite"),
+        ("--threshold", "inf", "threshold must be finite"),
+        ("--threshold", "-inf", "threshold must be finite"),
+    ])
+    def test_train_rejects_non_finite_rate_or_threshold(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "train", "--variant", "strong", "--epochs", "1", f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_directory_without_manifest_still_loads(self, tmp_path, capsys):
         out_dir = tmp_path / "data"
         run_cli(capsys, "datagen", "--out", str(out_dir), "--seed", "3",
@@ -243,6 +291,15 @@ class TestDatagenTrainEvalPipeline:
         assert code == 0
         assert float(fields["f_measure"]) == 0.8
         assert float(fields["accuracy"]) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_eval_non_finite_threshold_exits_one(self, tmp_path, capsys, threshold):
+        f = tmp_path / "r.txt"
+        write_sequence_file(f, np.zeros((2, 72)))
+        code, out, err = run_cli(capsys, "eval", str(f), str(f), f"--threshold={threshold}")
+        assert code == 1
+        assert out == ""
+        assert "threshold must be finite" in err
 
     def test_eval_shape_mismatch_exits_one(self, tmp_path, capsys):
         fp, fr = tmp_path / "p.txt", tmp_path / "r.txt"

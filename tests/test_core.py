@@ -12,6 +12,7 @@ from softalign import (
     WrongWidthError,
     sequence_from_rows,
 )
+from softalign.core import as_cost_matrix
 
 
 class TestSequenceFromRows:
@@ -58,6 +59,16 @@ class TestSequenceFromRows:
         src[0, 0] = 42.0
         assert seq.frames[0, 0] == 1.0
 
+    @pytest.mark.parametrize("frames, error", [
+        (np.zeros(3), RaggedRowsError),
+        (np.zeros((2, 3, 4)), RaggedRowsError),
+        (np.zeros((0, 3)), EmptySequenceError),
+        (np.zeros((3, 0)), RaggedRowsError),
+    ])
+    def test_constructor_rejects_bad_layouts(self, frames, error):
+        with pytest.raises(error):
+            FeatureSequence(frames)
+
 
 class TestPianorollValidate:
     """Validation of dense matrices by the PianoRoll constructor."""
@@ -95,3 +106,15 @@ class TestPianorollValidate:
         roll = PianoRoll(np.zeros((1, 72)))
         with pytest.raises(ValueError):
             roll.frames[0, 0] = 1.0
+
+    @pytest.mark.parametrize("frames", [np.zeros(72), np.zeros((2, 3, 72)), np.zeros((0, 72))])
+    def test_rejects_wrong_ndim_or_no_frames(self, frames):
+        with pytest.raises(EmptySequenceError):
+            PianoRoll(frames)
+
+
+class TestAsCostMatrix:
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 2)), np.zeros((2, 0))])
+    def test_rejects_shapes_that_are_not_a_lattice(self, values):
+        with pytest.raises(ValueError, match="2-D with positive shape"):
+            as_cost_matrix(values)

@@ -15,6 +15,17 @@ from softalign import (
 SQ = CostKind.SQUARED_EUCLIDEAN
 
 
+@pytest.mark.parametrize("call", [
+    lambda fn: local_cost(fn, [1.0], [2.0]),
+    lambda fn: local_cost_grad(fn, [1.0], [2.0]),
+    lambda fn: build_cost_matrix(fn, sequence_from_rows([[1.0]]), sequence_from_rows([[2.0]])),
+], ids=["local_cost", "local_cost_grad", "build_cost_matrix"])
+@pytest.mark.parametrize("fn", ["squared_euclidean", None])
+def test_non_member_cost_kind_rejected(call, fn):
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        call(fn)
+
+
 class TestLocalCost:
     def test_identical_vectors(self):
         assert local_cost(SQ, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0

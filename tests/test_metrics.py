@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softalign import (
+    DimensionMismatchError,
     FeatureSequence,
     LengthMismatchError,
     PianoRoll,
@@ -102,6 +103,16 @@ class TestCosineSimilarity:
         assert -1.0 - 1e-12 <= cosine_similarity(a, b) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("measure", [
+    cosine_similarity, threshold_metrics, average_precision, evaluate,
+])
+def test_frame_dimension_mismatch_rejected(measure):
+    pred = FeatureSequence(np.full((2, 3), 0.5))
+    ref = FeatureSequence(np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatchError):
+        measure(pred, ref)
+
+
 class TestThresholdMetrics:
     def test_perfect_binary_prediction(self):
         rng = np.random.default_rng(3)
@@ -123,6 +134,12 @@ class TestThresholdMetrics:
         pred, ref = tiny([[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]])
         p, r, f, acc = threshold_metrics(pred, ref, 0.4)
         assert (p, r, f, acc) == (1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        pred, ref = tiny([[0.9, 0.1]], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            threshold_metrics(pred, ref, threshold)
 
     def test_empty_reference_and_empty_prediction(self):
         pred, ref = tiny([[0.0, 0.0]], [[0.0, 0.0]])

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from softalign import (
     LabelVariant,
     MissingScoreError,
     MissingStrongError,
-    OvertoneModel,
     PianoRoll,
     ShrinkNotSupportedError,
     apply_overtones,
@@ -18,6 +18,7 @@ from softalign import (
     make_variant,
     stretch_to_length,
 )
+from softalign.targets import _OVERTONE_KERNEL
 
 
 def roll_from_symbols(symbols):
@@ -97,6 +98,30 @@ class TestStretchToLength:
         assert symbols_of(collapse_durations(stretched)) == symbols_of(collapsed)
 
 
+def _per_pitch_loop_overtones(roll):
+    """The kernel built one pitch and one overtone at a time, as it once was."""
+    kernel = np.zeros((72, 72))
+    offsets = [0] + [round(12.0 * math.log2(n + 1)) for n in range(1, 11)]
+    amplitudes = [1.0] + [(1.0 / 3.0) ** n for n in range(1, 11)]
+    for pitch in range(72):
+        for off, amp in zip(offsets, amplitudes):
+            if pitch + off < 72:
+                kernel[pitch, pitch + off] += amp
+    return np.minimum(roll.frames @ kernel, 1.0)
+
+
+@st.composite
+def overtone_rolls(draw):
+    """Boolean rolls, some with fully active (saturating) rows and top pitches."""
+    frames = draw(hnp.arrays(np.bool_, st.tuples(st.integers(1, 30), st.just(72))))
+    rows = st.integers(0, len(frames) - 1)
+    for row in draw(st.lists(rows, max_size=3)):
+        frames[row] = True
+    for row, pitch in draw(st.lists(st.tuples(rows, st.integers(60, 71)), max_size=6)):
+        frames[row, pitch] = True
+    return frames
+
+
 class TestApplyOvertones:
     def test_silent_frame_is_zero(self):
         out = apply_overtones(PianoRoll(np.zeros((2, 72))))
@@ -121,12 +146,6 @@ class TestApplyOvertones:
         expected[70] = 1.0  # first overtone would land at bin 82
         assert np.array_equal(out, expected)
 
-    def test_zero_overtones_reproduces_roll(self):
-        rng = np.random.default_rng(2)
-        roll = PianoRoll((rng.random((5, 72)) < 0.1).astype(float))
-        out = apply_overtones(roll, OvertoneModel(overtone_count=0))
-        assert np.array_equal(out.frames, roll.frames)
-
     def test_colliding_contributions_saturate(self):
         roll = np.zeros((1, 72))
         roll[0, [0, 12]] = 1.0  # overtone of pitch 0 lands on fundamental of pitch 12
@@ -145,11 +164,15 @@ class TestApplyOvertones:
         assert out.max() <= 1.0
         assert np.all(out[frames == 1.0] == 1.0)
 
-    def test_model_validation(self):
+    @given(overtone_rolls())
+    @settings(max_examples=200)
+    def test_matches_per_pitch_loop(self, frames):
+        roll = PianoRoll(frames.astype(float))
+        assert np.array_equal(apply_overtones(roll).frames, _per_pitch_loop_overtones(roll))
+
+    def test_kernel_is_read_only(self):
         with pytest.raises(ValueError):
-            OvertoneModel(overtone_count=-1)
-        with pytest.raises(ValueError):
-            OvertoneModel(decay_base=1.5)
+            _OVERTONE_KERNEL[0, 0] = 2.0
 
 
 class TestMakeVariant:
@@ -185,6 +208,12 @@ class TestMakeVariant:
             make_variant(LabelVariant.SCORE, strong_roll=roll)
         with pytest.raises(ValueError):
             make_variant(LabelVariant.COLLAPSE_STRETCH, strong_roll=roll)
+
+    @pytest.mark.parametrize("variant", ["strong", "overtone", None])
+    def test_non_member_variant_rejected(self, variant):
+        roll = roll_from_symbols("ab")
+        with pytest.raises(ValueError, match="unknown variant"):
+            make_variant(variant, strong_roll=roll, score_roll=roll, input_len=2)
 
     @given(random_symbol_rolls, st.integers(0, 10))
     def test_variant_length_ordering(self, symbols, extra):

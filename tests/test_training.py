@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from softalign import (
     ConfigError,
+    DimensionMismatchError,
     FeatureSequence,
     LabelVariant,
     LinearModel,
     LossKind,
     LossNormalizer,
     PianoRoll,
+    SyntheticExcerpt,
     TrainConfig,
     apply_overtones,
     collapse_durations,
@@ -55,6 +59,21 @@ class TestModelForward:
         out = model_forward(model, sequence_from_rows(rng.standard_normal((7, 6))))
         assert out.frames.shape == (7, 72)
         assert np.all((out.frames > 0.0) & (out.frames < 1.0))
+
+    @pytest.mark.parametrize("dims", [[3], [5, 3]])
+    def test_input_dimension_mismatch_rejected(self, dims):
+        # a 5-input model; the last input has 3 dimensions
+        model = small_model(5)
+        data = [
+            SyntheticExcerpt(input=sequence_from_rows(np.zeros((2, d))),
+                             strong_target=PianoRoll(np.zeros((2, 72))),
+                             score_target=PianoRoll(np.zeros((1, 72))))
+            for d in dims
+        ]
+        with pytest.raises(DimensionMismatchError):
+            model_forward(model, data[-1].input)
+        with pytest.raises(DimensionMismatchError):
+            evaluate_model(model, data)
 
 
 def _two_branch_sigmoid(x):
@@ -265,6 +284,13 @@ class TestPerFrameBaseline:
         with pytest.raises(Exception):
             per_frame_baseline_loss(model, x, roll, LossKind.PER_FRAME_L2)
 
+    @pytest.mark.parametrize("kind", [LossKind.SOFT_ALIGNMENT, None])
+    def test_non_per_frame_kind_rejected(self, kind):
+        model = small_model(4)
+        x = sequence_from_rows(np.zeros((3, 4)))
+        with pytest.raises(ConfigError, match="does not support loss kind"):
+            per_frame_baseline_loss(model, x, PianoRoll(np.zeros((3, 72))), kind)
+
 
 class TestGenerateSyntheticDataset:
     def test_noiseless_input_equals_overtone_expansion(self):
@@ -293,6 +319,15 @@ class TestGenerateSyntheticDataset:
             assert np.array_equal(ea.input.frames, eb.input.frames)
             assert np.array_equal(ea.score_target.frames, eb.score_target.frames)
 
+    @pytest.mark.parametrize("params", [
+        dict(excerpt_count=0), dict(frames=0), dict(polyphony=0), dict(polyphony=73),
+        dict(noise_level=-0.1),
+    ])
+    def test_invalid_parameters_rejected(self, params):
+        kwargs = dict(seed=0, excerpt_count=1, frames=10, polyphony=2, noise_level=0.05) | params
+        with pytest.raises(ValueError):
+            generate_synthetic_dataset(**kwargs)
+
 
 @pytest.fixture(scope="module")
 def mini_data():
@@ -303,7 +338,8 @@ class TestTrain:
 
     def test_loss_decreases_over_first_epochs(self):
         single_toy_excerpt = toy_dataset()[:1]
-        cfg = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNMENT, epochs=6)
+        cfg = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNMENT)
+        cfg.epochs = 6
         _, history = train(single_toy_excerpt, cfg)
         losses = [rec.mean_loss for rec in history]
         assert all(b < a for a, b in zip(losses, losses[1:5]))
@@ -404,6 +440,27 @@ class TestTrain:
                                          variant=LabelVariant.OVERTONE,
                                          loss_kind=LossKind.PER_FRAME_CE))
 
+    @pytest.mark.parametrize("changes, mangle, message", [
+        (dict(learning_rate=np.nan), None, "learning_rate must be"),
+        (dict(learning_rate=np.inf), None, "learning_rate must be"),
+        (dict(learning_rate=-np.inf), None, "learning_rate must be"),
+        (dict(threshold=np.nan), None, "threshold must be"),
+        (dict(threshold=np.inf), None, "threshold must be"),
+        (dict(threshold=-np.inf), None, "threshold must be"),
+        (dict(batch_excerpts=0), None, "batch_excerpts"),
+        (dict(momentum=-0.1), None, "momentum"),
+        (dict(momentum=1.0), None, "momentum"),
+        ({}, lambda e: dict(input=FeatureSequence(e.input.frames[:, :10])), "mixed input dimensions"),
+        ({}, lambda e: dict(strong_target=PianoRoll(e.strong_target.frames[:-1])), "one frame per input"),
+    ])
+    def test_bad_config_or_dataset_rejected_before_training(self, mini_data, changes, mangle, message):
+        cfg = TrainConfig(**(dict(learning_rate=1.0, epochs=1) | changes))
+        data = list(mini_data)
+        if mangle is not None:
+            data[0] = dataclasses.replace(data[0], **mangle(data[0]))
+        with pytest.raises(ConfigError, match=message):
+            train(data, cfg)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # AP undefined on silence
     def test_all_silence_targets_do_not_diverge(self):
         silent = PianoRoll(np.zeros((20, 72)))
@@ -418,3 +475,4 @@ class TestTrain:
                           variant=LabelVariant.STRONG, loss_kind=LossKind.SOFT_ALIGNMENT)
         _, history = train(data, cfg)
         assert np.isfinite(history[-1].mean_loss)
+
