@@ -15,9 +15,12 @@ Per workload the file holds the median and quartiles of `work_per_s`,
 included), the traced round's per-layer values and any layer it could not
 trace. It also records the runs' `env.*` lines and whether
 `PYTHONDONTWRITEBYTECODE` is set: with it set, every set-up recompiles the
-package, so `setup_s` grows with the source.
+package, so `setup_s` grows with the source. Before the benchmark runs, one
+run of the Tier-1 test command (`PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors`) is timed and stored as `tier1_wall_s`;
+a failing suite stops the record.
 
-`--seconds 0 --seeds 1` is a smoke run of about a minute.
+`--seconds 0 --seeds 1` is a smoke run of about a minute and a half.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # Fixed before any run, so records of different trees share their seeds.
 SEEDS = (301, 302, 303, 304, 305)
 END_TO_END = ("work_per_s", "peak_alloc_mb", "setup_s")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def spread(values: list[float]) -> dict:
@@ -54,6 +59,19 @@ def run(root: Path, command: list[str], args: list[str]) -> tuple[list[str], dic
     return lines, json.loads(lines[-1])
 
 
+def tier1_wall(root: Path) -> float:
+    """Wall time of one run of the Tier-1 test command in `root`, in seconds."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH="src" + (os.pathsep + path if path else ""))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-4000:])
+        raise SystemExit(f"Tier-1 tests failed ({proc.returncode}) in {root}")
+    return wall
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json file to write")
@@ -67,6 +85,8 @@ def main(argv=None) -> int:
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     names = [w["name"] for w in spec["workloads"]]
+    print("tier-1 tests", file=sys.stderr, flush=True)
+    tier1_wall_s = tier1_wall(args.root)
     env: dict[str, str] = {}
     values = {name: {metric: [] for metric in END_TO_END} for name in names}
     tally = {name: [0, 0] for name in names}  # failed, attempted
@@ -106,6 +126,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "trace_seed": args.seeds[0],
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "tier1_wall_s": tier1_wall_s,
         "env": env,
         "workloads": workloads,
     }

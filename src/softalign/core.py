@@ -118,8 +118,10 @@ def sequence_from_rows(rows) -> FeatureSequence:
 def as_cost_matrix(values) -> np.ndarray:
     """Validate an (N, M) dense matrix of finite local costs.
 
-    Returns a C-contiguous float64 copy. Raises NonFiniteCostError on NaN or
-    infinite entries.
+    Returns a C-contiguous float64 array: `values` itself when it already is
+    one (so a caller's array is shared, not copied, and must not be written
+    through the result), a converted copy otherwise. Raises
+    NonFiniteCostError on NaN or infinite entries.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:

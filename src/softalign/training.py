@@ -280,6 +280,8 @@ def train(
     soft-DTW batch runs its dynamic programs once, over a stack of its
     excerpts' lattices. Every epoch records the normalized batch losses,
     their mean, and an evaluation against the strongly aligned annotations.
+    Raises FloatingPointError, naming the epoch and batch, as soon as a
+    batch loss or the updated parameters are not finite.
     """
     _validate_config(dataset, config)
     rng = np.random.default_rng(config.seed)
@@ -299,7 +301,7 @@ def train(
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):
         batch_losses: list[float] = []
-        for start in range(0, len(dataset), config.batch_excerpts):
+        for batch, start in enumerate(range(0, len(dataset), config.batch_excerpts)):
             inputs = [e.input for e in dataset[start : start + config.batch_excerpts]]
             batch_targets = targets[start : start + config.batch_excerpts]
             if config.loss_kind is LossKind.SOFT_ALIGNMENT:
@@ -321,8 +323,14 @@ def train(
             scale = 1.0 / (normalizer.reference * k)
             vel_w = config.momentum * vel_w - config.learning_rate * scale * gw
             vel_b = config.momentum * vel_b - config.learning_rate * scale * gb
+            if not math.isfinite(loss):
+                raise FloatingPointError(f"training diverged at epoch {epoch}, batch {batch}: "
+                                         f"loss {loss!r}")
             model.weight = model.weight + vel_w
             model.bias = model.bias + vel_b
+            if not (np.isfinite(model.weight).all() and np.isfinite(model.bias).all()):
+                raise FloatingPointError(f"training diverged at epoch {epoch}, batch {batch}: "
+                                         "the updated weight or bias is not finite")
             batch_losses.append(loss)
         report = evaluate_model(model, dataset, config.threshold, cosine_ref)
         history.append(

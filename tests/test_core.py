@@ -118,3 +118,19 @@ class TestAsCostMatrix:
     def test_rejects_shapes_that_are_not_a_lattice(self, values):
         with pytest.raises(ValueError, match="2-D with positive shape"):
             as_cost_matrix(values)
+
+    def test_contiguous_float64_is_returned_as_is(self):
+        c = np.ones((2, 3))
+        assert as_cost_matrix(c) is c
+
+    def test_read_only_costs_pass_the_dps_unchanged(self):
+        from softalign import classical_dtw, softdtw_forward, softdtw_gradient
+
+        c = np.random.default_rng(0).random((5, 7))
+        c.setflags(write=False)
+        before = c.copy()
+        softdtw_forward(c, 1.0)
+        softdtw_gradient(c, 1.0)
+        classical_dtw(c)
+        assert not c.flags.writeable
+        assert np.array_equal(c, before)

@@ -1,3 +1,7 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from softalign import (
     local_cost_grad,
     sequence_from_rows,
 )
+from softalign import cost
 
 SQ = CostKind.SQUARED_EUCLIDEAN
 
@@ -143,42 +148,43 @@ def _rows_per_block(m, dim):
     return max(1, _BLOCK_ELEMENTS // (m * dim))
 
 
-class TestBlockedBuild:
-    def _assert_matches_per_row(self, n, m, dim, seed=0):
-        rng = np.random.default_rng(seed)
-        xf = rng.standard_normal((n, dim))
-        yf = rng.standard_normal((m, dim))
-        got = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
-        assert np.array_equal(got, _per_row_cost_matrix(xf, yf))
+def _assert_matches_per_row(n, m, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    xf = rng.standard_normal((n, dim))
+    yf = rng.standard_normal((m, dim))
+    got = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+    assert np.array_equal(got, _per_row_cost_matrix(xf, yf))
 
+
+class TestBlockedBuild:
     def test_one_row_past_a_full_block(self):
         rows = _rows_per_block(8, 72)
         assert rows > 1
-        self._assert_matches_per_row(rows + 1, 8, 72)
+        _assert_matches_per_row(rows + 1, 8, 72)
 
     def test_several_blocks_with_a_short_tail(self):
         rows = _rows_per_block(40, 16)
-        self._assert_matches_per_row(3 * rows + 2, 40, 16)
+        _assert_matches_per_row(3 * rows + 2, 40, 16)
 
     def test_single_column_and_single_row(self):
-        self._assert_matches_per_row(50, 1, 72)
-        self._assert_matches_per_row(1, 50, 72)
-        self._assert_matches_per_row(1, 1, 72)
+        _assert_matches_per_row(50, 1, 72)
+        _assert_matches_per_row(1, 50, 72)
+        _assert_matches_per_row(1, 1, 72)
 
     def test_one_dimensional_frames(self):
-        self._assert_matches_per_row(300, 257, 1)
+        _assert_matches_per_row(300, 257, 1)
 
     def test_row_larger_than_the_block_budget(self):
         from softalign.cost import _BLOCK_ELEMENTS
 
         m = _BLOCK_ELEMENTS // 72 + 1
         assert _rows_per_block(m, 72) == 1
-        self._assert_matches_per_row(3, m, 72)
+        _assert_matches_per_row(3, m, 72)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 130), st.integers(0, 2**31 - 1))
     def test_random_shapes(self, n, m, dim, seed):
-        self._assert_matches_per_row(n, m, dim, seed)
+        _assert_matches_per_row(n, m, dim, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**31 - 1))
@@ -193,3 +199,58 @@ class TestBlockedBuild:
             assert np.array_equal(
                 _forward_fill(c, gamma), _reference_forward_fill(_per_row_cost_matrix(xf, yf), gamma)
             )
+
+
+@contextmanager
+def _workers(k, band=1):
+    """Builds split across k CPUs in bands of at least `band` elements."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cost, "_BAND_ELEMENTS", band)
+        mp.setattr(cost, "_cpu_count", lambda: k)
+        yield mp
+
+
+class TestBandedBuild:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(1, 12), st.integers(1, 40),
+           st.integers(1, 80), st.integers(0, 2**31 - 1))
+    def test_random_shapes_match_per_row(self, k, n, m, dim, seed):
+        with _workers(k):
+            _assert_matches_per_row(n, m, dim, seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n, m, dim", [(2, 9, 72), (1, 30, 72), (50, 1, 72), (300, 257, 1),
+                                           (7, 1000, 72)])
+    def test_edge_shapes_match_per_row(self, k, n, m, dim):
+        with _workers(k):
+            _assert_matches_per_row(n, m, dim, seed=k)
+
+    def test_worker_exception_reaches_caller(self):
+        fill_rows = cost._fill_rows
+
+        def failing_off_the_caller(xf, yf, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("band failed")
+            fill_rows(xf, yf, out)
+
+        x = sequence_from_rows(np.ones((6, 4)))
+        with _workers(3) as mp:
+            mp.setattr(cost, "_fill_rows", failing_off_the_caller)
+            with pytest.raises(MemoryError, match="band failed"):
+                build_cost_matrix(SQ, x, x)
+
+    def test_each_band_holds_at_least_the_band_size(self):
+        pools = []
+
+        def pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        # 8 x m x 9 elements in bands of at least 8 x 3 x 9, on 4 CPUs; the
+        # calling thread works one band, so a pool of w - 1 threads means w bands
+        x = sequence_from_rows(np.zeros((8, 9)))
+        with _workers(4, band=8 * 3 * 9) as mp:
+            mp.setattr(cost, "ThreadPoolExecutor", pool)
+            for m in (1, 5, 6, 11, 12, 40):
+                build_cost_matrix(SQ, x, sequence_from_rows(np.zeros((m, 9))))
+        assert pools == [1, 2, 3, 3]

@@ -461,6 +461,26 @@ class TestTrain:
         with pytest.raises(ConfigError, match=message):
             train(data, cfg)
 
+    def test_divergence_raises_at_the_first_non_finite_batch(self):
+        # the l2 weights overflow on the first update at this rate
+        cfg = toy_config(LabelVariant.STRONG, LossKind.PER_FRAME_L2)
+        cfg = dataclasses.replace(cfg, learning_rate=1e308, epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match="epoch 0, batch 0: the updated weight or bias is not finite"):
+                train(toy_dataset(), cfg)
+
+    def test_non_finite_loss_raises_before_the_update(self, mini_data, monkeypatch):
+        from softalign import training
+
+        def nan_loss(model, *_args):
+            return np.nan, np.zeros_like(model.weight), np.zeros_like(model.bias)
+
+        monkeypatch.setattr(training, "per_frame_baseline_loss", nan_loss)
+        cfg = TrainConfig(learning_rate=1.0, epochs=1, loss_kind=LossKind.PER_FRAME_L2)
+        with pytest.raises(FloatingPointError, match="epoch 0, batch 0: loss nan"):
+            train(mini_data, cfg)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # AP undefined on silence
     def test_all_silence_targets_do_not_diverge(self):
         silent = PianoRoll(np.zeros((20, 72)))
