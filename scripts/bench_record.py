@@ -18,7 +18,8 @@ trace. It also records the runs' `env.*` lines and whether
 package, so `setup_s` grows with the source. Before the benchmark runs, one
 run of the Tier-1 test command (`PYTHONPATH=src python -m pytest -q
 --continue-on-collection-errors`) is timed and stored as `tier1_wall_s`;
-a failing suite stops the record.
+a failing suite stops the record. `src_lines` is the line count of
+`src/**/*.py` in the measured root, as `wc -l` counts it.
 
 `--seconds 0 --seeds 1` is a smoke run of about a minute and a half.
 """
@@ -70,6 +71,11 @@ def tier1_wall(root: Path) -> float:
         sys.stderr.write(proc.stdout[-4000:])
         raise SystemExit(f"Tier-1 tests failed ({proc.returncode}) in {root}")
     return wall
+
+
+def src_lines(root: Path) -> int:
+    """Newline count of every `.py` file under `root`/src."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -127,6 +133,7 @@ def main(argv=None) -> int:
         "trace_seed": args.seeds[0],
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "tier1_wall_s": tier1_wall_s,
+        "src_lines": src_lines(args.root),
         "env": env,
         "workloads": workloads,
     }

@@ -25,7 +25,7 @@ from .alignment import (
     softdtw_forward,
     softdtw_gradient,
 )
-from .cost import CostKind, build_cost_matrix, local_cost, local_cost_grad
+from .cost import CostKind, build_cost_matrix
 from .targets import (
     LabelVariant,
     MissingScoreError,

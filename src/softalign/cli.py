@@ -34,10 +34,8 @@ from .training import (
     SyntheticExcerpt,
     TrainConfig,
     TOY_DATASET_PARAMS,
-    TOY_EPOCHS,
-    TOY_LEARNING_RATE,
-    TOY_MOMENTUM,
     generate_synthetic_dataset,
+    toy_config,
     train,
 )
 
@@ -295,7 +293,8 @@ def _cmd_train(args, out) -> int:
     )
     model, history = train(dataset, config)
 
-    lines: list[tuple[str, object]] = [
+    final = history[-1].report
+    lines = [
         ("tool_version", __version__),
         ("config.variant", config.variant.value),
         ("config.loss", config.loss_kind.value),
@@ -307,17 +306,13 @@ def _cmd_train(args, out) -> int:
         ("config.threshold", config.threshold),
         ("data.excerpts", len(dataset)),
         ("first_batch_loss", history[0].batch_losses[0]),
+        *((f"epoch.{record.epoch}.loss", record.mean_loss) for record in history),
+        *((f"final.{name}", getattr(final, name)) for name in _REPORT_FIELDS),
     ]
-    for record in history:
-        lines.append((f"epoch.{record.epoch}.loss", record.mean_loss))
-    final = history[-1].report
-    lines += [(f"final.{name}", getattr(final, name)) for name in _REPORT_FIELDS]
-    for key, value in lines:
-        _emit(out, key, value)
+    text = "".join(f"{key} {_fmt(value)}\n" for key, value in lines)
+    out.write(text)
     if args.report is not None:
-        with Path(args.report).open("w") as fh:
-            for key, value in lines:
-                _emit(fh, key, value)
+        Path(args.report).write_text(text)
     if args.model_out is not None:
         # one row per output bin: the input weights followed by the bias
         write_sequence_file(args.model_out, np.hstack([model.weight, model.bias[:, None]]))
@@ -376,14 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p_data, "--seed")
 
     p_train = sub.add_parser("train", help="train the per-frame model and report metrics")
-    p_train.add_argument("--variant", default="w2", choices=[v.value for v in LabelVariant])
-    p_train.add_argument("--loss", default="softdtw", choices=[k.value for k in LossKind])
-    p_train.add_argument("--gamma", type=float, default=10.0)
-    p_train.add_argument("--lr", type=float, default=TOY_LEARNING_RATE)
-    p_train.add_argument("--momentum", type=float, default=TOY_MOMENTUM)
-    p_train.add_argument("--epochs", type=int, default=TOY_EPOCHS)
-    p_train.add_argument("--seed", type=int, default=1)
-    p_train.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    toy = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNMENT)
+    p_train.add_argument("--variant", default=toy.variant.value, choices=[v.value for v in LabelVariant])
+    p_train.add_argument("--loss", default=toy.loss_kind.value, choices=[k.value for k in LossKind])
+    p_train.add_argument("--gamma", type=float, default=toy.gamma)
+    p_train.add_argument("--lr", type=float, default=toy.learning_rate)
+    p_train.add_argument("--momentum", type=float, default=toy.momentum)
+    p_train.add_argument("--epochs", type=int, default=toy.epochs)
+    p_train.add_argument("--seed", type=int, default=toy.seed)
+    p_train.add_argument("--threshold", type=float, default=toy.threshold)
     p_train.add_argument("--data-dir", default=None, help="load a datagen directory instead of generating")
     _add_dataset_flags(p_train, "--data-seed")
     p_train.add_argument("--report", default=None, help="also write the report to this file")

@@ -1,4 +1,4 @@
-"""Local alignment cost functions and cost-matrix assembly."""
+"""Squared-Euclidean cost-matrix assembly."""
 
 from __future__ import annotations
 
@@ -37,35 +37,12 @@ class CostKind(Enum):
     SQUARED_EUCLIDEAN = "squared_euclidean"
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    av = np.asarray(a, dtype=np.float64).ravel()
-    bv = np.asarray(b, dtype=np.float64).ravel()
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"vector dimensions differ: {av.size} vs {bv.size}")
-    return av, bv
-
-
-def local_cost(fn: CostKind, a, b) -> float:
-    """Cost of locally aligning frame a with frame b."""
-    av, bv = _pair(a, b)
-    if fn is CostKind.SQUARED_EUCLIDEAN:
-        diff = av - bv
-        return float((diff * diff).sum())
-    raise ValueError(f"unknown cost kind {fn!r}")
-
-
-def local_cost_grad(fn: CostKind, a, b) -> np.ndarray:
-    """Gradient of local_cost(fn, a, b) with respect to the first argument."""
-    av, bv = _pair(a, b)
-    if fn is CostKind.SQUARED_EUCLIDEAN:
-        return 2.0 * (av - bv)
-    raise ValueError(f"unknown cost kind {fn!r}")
-
-
 def build_cost_matrix(
     fn: CostKind, x: FeatureSequence | PianoRoll, y: FeatureSequence | PianoRoll
 ) -> np.ndarray:
-    """Dense (N, M) matrix with entry (n, m) = local_cost(fn, x_n, y_m).
+    """Dense (N, M) matrix with entry (n, m) = ||x_n - y_m||^2.
+
+    `fn` must be CostKind.SQUARED_EUCLIDEAN, the one kind there is.
 
     Piano rolls are accepted directly; their binary frames widen to real
     vectors, so one cost path serves binary and real-valued targets alike.

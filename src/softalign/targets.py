@@ -102,25 +102,22 @@ def make_variant(
     input_len: int | None = None,
 ) -> PianoRoll | FeatureSequence:
     """Build the training target for one excerpt under the given variant."""
-    if variant in (LabelVariant.STRONG, LabelVariant.COLLAPSE, LabelVariant.COLLAPSE_STRETCH, LabelVariant.OVERTONE):
-        if strong_roll is None:
-            raise MissingStrongError(f"variant {variant.value} needs a strongly aligned roll")
+    if not isinstance(variant, LabelVariant):
+        raise ValueError(f"unknown variant {variant!r}")
     if variant in (LabelVariant.SCORE, LabelVariant.SCORE_STRETCH):
         if score_roll is None:
             raise MissingScoreError(f"variant {variant.value} needs a score roll")
-    if variant in (LabelVariant.COLLAPSE_STRETCH, LabelVariant.SCORE_STRETCH) and input_len is None:
-        raise ValueError(f"variant {variant.value} needs the input length to stretch to")
-
-    if variant is LabelVariant.STRONG:
-        return strong_roll
-    if variant is LabelVariant.COLLAPSE:
-        return collapse_durations(strong_roll)
-    if variant is LabelVariant.COLLAPSE_STRETCH:
-        return stretch_to_length(collapse_durations(strong_roll), input_len)
-    if variant is LabelVariant.SCORE:
-        return score_roll
-    if variant is LabelVariant.SCORE_STRETCH:
-        return stretch_to_length(score_roll, input_len)
+        roll = score_roll
+    else:
+        if strong_roll is None:
+            raise MissingStrongError(f"variant {variant.value} needs a strongly aligned roll")
+        roll = strong_roll
     if variant is LabelVariant.OVERTONE:
-        return apply_overtones(strong_roll)
-    raise ValueError(f"unknown variant {variant!r}")
+        return apply_overtones(roll)
+    if variant in (LabelVariant.COLLAPSE, LabelVariant.COLLAPSE_STRETCH):
+        roll = collapse_durations(roll)
+    if variant in (LabelVariant.COLLAPSE_STRETCH, LabelVariant.SCORE_STRETCH):
+        if input_len is None:
+            raise ValueError(f"variant {variant.value} needs the input length to stretch to")
+        roll = stretch_to_length(roll, input_len)
+    return roll

@@ -348,9 +348,6 @@ def train(
 # enough that the label-variant ordering (collapsed targets fail, collapsed
 # and stretched targets track the strongly aligned baselines) is stable.
 TOY_DATASET_PARAMS = dict(seed=17, excerpt_count=6, frames=60, polyphony=3, noise_level=0.05)
-TOY_EPOCHS = 70
-TOY_LEARNING_RATE = 2.0
-TOY_MOMENTUM = 0.9
 
 
 def toy_dataset() -> list[SyntheticExcerpt]:
@@ -359,15 +356,10 @@ def toy_dataset() -> list[SyntheticExcerpt]:
 
 
 def toy_config(variant: LabelVariant, loss_kind: LossKind) -> TrainConfig:
-    """Bundled hyperparameters for one toy run."""
+    """Bundled hyperparameters for one toy run; also the defaults of `softalign train`."""
     return TrainConfig(
-        learning_rate=TOY_LEARNING_RATE,
-        epochs=TOY_EPOCHS,
-        gamma=10.0,
-        momentum=TOY_MOMENTUM,
-        seed=1,
-        variant=variant,
-        loss_kind=loss_kind,
+        learning_rate=2.0, epochs=70, gamma=10.0, momentum=0.9, seed=1,
+        variant=variant, loss_kind=loss_kind,
     )
 
 
@@ -388,16 +380,18 @@ def generate_synthetic_dataset(
     chords) drawn MIN_RUN to MAX_RUN frames long; the input is its overtone
     expansion plus additive Gaussian noise. The score roll repeats the
     same chord sequence with durations redrawn from the same range, then
-    trimmed so it never exceeds the input length (keeps the stretched
-    variants well defined).
+    trimmed to at most max(runs, round(r_i * frames)) frames, with the
+    ratios r_i evenly spaced from 0.6 to 1.0 over the excerpts. Score
+    tempos thus differ from the input's, and a score roll never exceeds
+    the input length (keeps the stretched variants well defined).
     """
     if excerpt_count < 1 or frames < 1 or polyphony < 1 or polyphony > PITCH_COUNT:
         raise ValueError("invalid generator parameters")
-    if noise_level < 0.0:
-        raise ValueError("noise_level must be >= 0")
+    if not (math.isfinite(noise_level) and noise_level >= 0.0):
+        raise ValueError("noise_level must be finite and >= 0")
     rng = np.random.default_rng(seed)
     excerpts = []
-    for _ in range(excerpt_count):
+    for ratio in np.linspace(0.6, 1.0, excerpt_count):
         rows = []
         prev = None
         while len(rows) < frames:
@@ -414,7 +408,8 @@ def generate_synthetic_dataset(
 
         run_frames = collapse_durations(strong).frames
         durs = rng.integers(MIN_RUN, MAX_RUN + 1, size=len(run_frames)).astype(int)
-        while durs.sum() > frames:  # shrink so score fits into the input length
+        score_len = max(len(run_frames), round(ratio * frames))
+        while durs.sum() > score_len:
             durs[int(np.argmax(durs))] -= 1
         score = PianoRoll(np.repeat(run_frames, durs, axis=0))
 

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from softalign import brute_force_softdtw, build_cost_matrix, CostKind, FeatureSequence
+from softalign import (
+    CostKind,
+    FeatureSequence,
+    LabelVariant,
+    LossKind,
+    brute_force_softdtw,
+    build_cost_matrix,
+    toy_config,
+)
 from softalign.cli import (
     SequenceFileError,
     _load_dataset,
+    build_parser,
     main,
     read_sequence_file,
     write_sequence_file,
@@ -204,7 +213,24 @@ class TestDatagenTrainEvalPipeline:
         assert float(fields["first_batch_loss"]) == 1.0
         assert "final.f_measure" in fields
         assert report_file.read_text().splitlines()[0].startswith("tool_version")
+        assert report_file.read_bytes() == out.encode()
         assert read_sequence_file(model_file).shape == (72, 73)
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_datagen_rejects_non_finite_noise(self, tmp_path, capsys, noise):
+        out_dir = tmp_path / "data"
+        code, out, err = run_cli(capsys, "datagen", "--out", str(out_dir), "--noise", noise)
+        assert code == 1
+        assert out == ""
+        assert "noise_level must be finite" in err
+        assert not out_dir.exists()
+
+    def test_train_defaults_are_the_bundled_toy_config(self):
+        args = build_parser().parse_args(["train"])
+        toy = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNMENT)
+        assert (args.variant, args.loss) == (toy.variant.value, toy.loss_kind.value)
+        assert (args.gamma, args.lr, args.momentum) == (toy.gamma, toy.learning_rate, toy.momentum)
+        assert (args.epochs, args.seed, args.threshold) == (toy.epochs, toy.seed, toy.threshold)
 
     def test_train_refuses_directory_missing_an_excerpt(self, tmp_path, capsys):
         out_dir = tmp_path / "data"

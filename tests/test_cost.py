@@ -11,8 +11,6 @@ from softalign import (
     CostKind,
     DimensionMismatchError,
     build_cost_matrix,
-    local_cost,
-    local_cost_grad,
     sequence_from_rows,
 )
 from softalign import cost
@@ -20,80 +18,38 @@ from softalign import cost
 SQ = CostKind.SQUARED_EUCLIDEAN
 
 
-@pytest.mark.parametrize("call", [
-    lambda fn: local_cost(fn, [1.0], [2.0]),
-    lambda fn: local_cost_grad(fn, [1.0], [2.0]),
-    lambda fn: build_cost_matrix(fn, sequence_from_rows([[1.0]]), sequence_from_rows([[2.0]])),
-], ids=["local_cost", "local_cost_grad", "build_cost_matrix"])
 @pytest.mark.parametrize("fn", ["squared_euclidean", None])
-def test_non_member_cost_kind_rejected(call, fn):
+def test_non_member_cost_kind_rejected(fn):
     with pytest.raises(ValueError, match="unknown cost kind"):
-        call(fn)
+        build_cost_matrix(fn, sequence_from_rows([[1.0]]), sequence_from_rows([[2.0]]))
 
 
-class TestLocalCost:
-    def test_identical_vectors(self):
-        assert local_cost(SQ, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_hand_computed(self):
-        assert local_cost(SQ, [1.0, 0.0], [0.0, 1.0]) == 2.0
-
-    def test_half_vector_against_multi_hot(self):
-        # 3 active bins at distance 0.5 plus 69 silent bins at distance 0.5
-        a = np.full(72, 0.5)
-        b = np.zeros(72)
-        b[[0, 31, 71]] = 1.0
-        assert local_cost(SQ, a, b) == pytest.approx(18.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            local_cost(SQ, [1.0], [1.0, 2.0])
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
-    def test_nonnegative_and_zero_iff_equal(self, vals):
-        a = np.asarray(vals)
-        assert local_cost(SQ, a, a) == 0.0
-        shifted = a + 1.0
-        assert local_cost(SQ, a, shifted) > 0.0
-
-
-class TestLocalCostGrad:
-    def test_zero_at_minimum(self):
-        g = local_cost_grad(SQ, [1.0, 2.0], [1.0, 2.0])
-        assert np.array_equal(g, np.zeros(2))
-
-    def test_hand_computed(self):
-        g = local_cost_grad(SQ, [1.0, 0.0], [0.0, 1.0])
-        assert np.array_equal(g, [2.0, -2.0])
-
-    def test_matches_finite_differences_dim72(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal(72)
-        b = rng.standard_normal(72)
-        g = local_cost_grad(SQ, a, b)
-        h = 1e-6
-        for i in range(0, 72, 7):
-            e = np.zeros(72)
-            e[i] = h
-            fd = (local_cost(SQ, a + e, b) - local_cost(SQ, a - e, b)) / (2 * h)
-            assert g[i] == pytest.approx(fd, abs=1e-7)
+def _one_frame_cost(a, b):
+    """The cost of aligning frame a with frame b, as a 1 x 1 matrix build."""
+    return build_cost_matrix(SQ, sequence_from_rows([a]), sequence_from_rows([b]))[0, 0]
 
 
 class TestBuildCostMatrix:
-    def test_single_frame_zero(self):
-        x = sequence_from_rows([[1.0, 2.0]])
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    def test_single_frame_zero(self, vals):
+        # zero iff equal
+        x = sequence_from_rows([vals])
         mat = build_cost_matrix(SQ, x, x)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == 0.0
+        assert _one_frame_cost(vals, np.asarray(vals) + 1.0) > 0.0
 
     def test_entries_match_local_cost(self):
+        assert _one_frame_cost([1.0, 0.0], [0.0, 1.0]) == 2.0
+        # 3 active bins at distance 0.5 plus 69 silent bins at distance 0.5
+        b = np.zeros(72)
+        b[[0, 31, 71]] = 1.0
+        assert _one_frame_cost(np.full(72, 0.5), b) == pytest.approx(18.0, abs=1e-12)
         rng = np.random.default_rng(3)
-        x = sequence_from_rows(rng.standard_normal((2, 5)))
-        y = sequence_from_rows(rng.standard_normal((3, 5)))
-        mat = build_cost_matrix(SQ, x, y)
-        for n in range(2):
-            for m in range(3):
-                assert mat[n, m] == local_cost(SQ, x.frames[n], y.frames[m])
+        xf = rng.standard_normal((2, 5))
+        yf = rng.standard_normal((3, 5))
+        mat = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+        assert np.array_equal(mat, _per_row_cost_matrix(xf, yf))
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1))
@@ -108,6 +64,8 @@ class TestBuildCostMatrix:
         y = sequence_from_rows([[1.0, 2.0, 3.0]])
         with pytest.raises(DimensionMismatchError):
             build_cost_matrix(SQ, x, y)
+        with pytest.raises(DimensionMismatchError):
+            _one_frame_cost([1.0], [1.0, 2.0])
 
 
 def _per_row_cost_matrix(xf, yf):

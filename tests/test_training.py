@@ -22,6 +22,7 @@ from softalign import (
     evaluate,
     evaluate_model,
     generate_synthetic_dataset,
+    make_variant,
     model_forward,
     per_frame_baseline_loss,
     sequence_from_rows,
@@ -319,9 +320,19 @@ class TestGenerateSyntheticDataset:
             assert np.array_equal(ea.input.frames, eb.input.frames)
             assert np.array_equal(ea.score_target.frames, eb.score_target.frames)
 
+    def test_toy_score_tempo_differs_from_input(self):
+        # the stretched score variant (w4) must not repeat the plain one (w3)
+        differ = []
+        for e in toy_dataset():
+            w3 = make_variant(LabelVariant.SCORE, score_roll=e.score_target)
+            w4 = make_variant(LabelVariant.SCORE_STRETCH, score_roll=e.score_target,
+                              input_len=len(e.input))
+            differ.append(not np.array_equal(w3.frames, w4.frames))
+        assert any(differ)
+
     @pytest.mark.parametrize("params", [
         dict(excerpt_count=0), dict(frames=0), dict(polyphony=0), dict(polyphony=73),
-        dict(noise_level=-0.1),
+        dict(noise_level=-0.1), dict(noise_level=float("nan")), dict(noise_level=float("inf")),
     ])
     def test_invalid_parameters_rejected(self, params):
         kwargs = dict(seed=0, excerpt_count=1, frames=10, polyphony=2, noise_level=0.05) | params
