@@ -29,22 +29,39 @@ def _one_frame_cost(a, b):
     return build_cost_matrix(SQ, sequence_from_rows([a]), sequence_from_rows([b]))[0, 0]
 
 
-class TestBuildCostMatrix:
+class TestLocalCost:
+    def test_identical_vectors(self):
+        assert _one_frame_cost([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+
+    def test_hand_computed(self):
+        assert _one_frame_cost([1.0, 0.0], [0.0, 1.0]) == 2.0
+
+    def test_half_vector_against_multi_hot(self):
+        # 3 active bins at distance 0.5 plus 69 silent bins at distance 0.5
+        a = np.full(72, 0.5)
+        b = np.zeros(72)
+        b[[0, 31, 71]] = 1.0
+        assert _one_frame_cost(a, b) == pytest.approx(18.0, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            _one_frame_cost([1.0], [1.0, 2.0])
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
-    def test_single_frame_zero(self, vals):
-        # zero iff equal
-        x = sequence_from_rows([vals])
+    def test_nonnegative_and_zero_iff_equal(self, vals):
+        a = np.asarray(vals)
+        assert _one_frame_cost(a, a) == 0.0
+        assert _one_frame_cost(a, a + 1.0) > 0.0
+
+
+class TestBuildCostMatrix:
+    def test_single_frame_zero(self):
+        x = sequence_from_rows([[1.0, 2.0]])
         mat = build_cost_matrix(SQ, x, x)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == 0.0
-        assert _one_frame_cost(vals, np.asarray(vals) + 1.0) > 0.0
 
     def test_entries_match_local_cost(self):
-        assert _one_frame_cost([1.0, 0.0], [0.0, 1.0]) == 2.0
-        # 3 active bins at distance 0.5 plus 69 silent bins at distance 0.5
-        b = np.zeros(72)
-        b[[0, 31, 71]] = 1.0
-        assert _one_frame_cost(np.full(72, 0.5), b) == pytest.approx(18.0, abs=1e-12)
         rng = np.random.default_rng(3)
         xf = rng.standard_normal((2, 5))
         yf = rng.standard_normal((3, 5))
@@ -64,8 +81,6 @@ class TestBuildCostMatrix:
         y = sequence_from_rows([[1.0, 2.0, 3.0]])
         with pytest.raises(DimensionMismatchError):
             build_cost_matrix(SQ, x, y)
-        with pytest.raises(DimensionMismatchError):
-            _one_frame_cost([1.0], [1.0, 2.0])
 
 
 def _per_row_cost_matrix(xf, yf):
