@@ -46,14 +46,29 @@ def build_cost_matrix(
 
     Piano rolls are accepted directly; their binary frames widen to real
     vectors, so one cost path serves binary and real-valued targets alike.
-    Large builds split their rows across worker threads, at most one band
-    per CPU; every entry has the same bits whichever thread computes it.
+    A target that holds a frame for several steps has one column built per
+    run of equal consecutive frames, repeated across the run; each row is
+    subtracted against a copied row of x. Large builds split their rows
+    across worker threads, at most one band per CPU. Every entry has the
+    same bits whichever run, thread or block computes it.
     """
     if x.dim != y.dim:
         raise DimensionMismatchError(f"sequence dimensions differ: {x.dim} vs {y.dim}")
     if fn is not CostKind.SQUARED_EUCLIDEAN:
         raise ValueError(f"unknown cost kind {fn!r}")
-    xf, yf = x.frames, y.frames
+    yf = y.frames
+    # Equal frames give bit-equal columns (+-0.0 square alike); NaN never
+    # compares equal, so it is never merged. Only the target is scanned:
+    # the model output it is compared with does not repeat.
+    starts = np.flatnonzero(np.r_[True, np.any(yf[1:] != yf[:-1], axis=1)])
+    if starts.size == len(yf):
+        return _banded(x.frames, yf)
+    counts = np.diff(np.r_[starts, len(yf)])
+    return np.repeat(_banded(x.frames, yf[starts]), counts, axis=1)
+
+
+def _banded(xf: np.ndarray, yf: np.ndarray) -> np.ndarray:
+    """The (N, M) squared distances, in row bands over the available CPUs."""
     (n, dim), m = xf.shape, yf.shape[0]
     out = np.empty((n, m))
     workers = min(n, _cpu_count(), n * m * dim // _BAND_ELEMENTS)
@@ -85,6 +100,9 @@ def _fill_rows(xf: np.ndarray, yf: np.ndarray, out: np.ndarray) -> None:
     for a in range(0, n, rows):
         b = min(a + rows, n)
         block = buf[: b - a]
-        np.subtract(xf[a:b, None, :], yf[None], out=block)
+        # A contiguous subtract runs one long inner loop per row; a
+        # broadcast one would run one `dim`-long loop per (row, column).
+        np.copyto(block, xf[a:b, None, :])
+        np.subtract(block, yf, out=block)
         np.multiply(block, block, out=block)
         block.sum(axis=2, out=out[a:b])

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softalign import (
@@ -160,13 +160,15 @@ class TestBlockedBuild:
         _assert_matches_per_row(n, m, dim, seed)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**31 - 1))
-    def test_soft_forward_pipeline_unchanged(self, n, m, seed):
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**31 - 1), st.booleans())
+    def test_soft_forward_pipeline_unchanged(self, n, m, seed, roll):
         from softalign.alignment import _forward_fill
 
         rng = np.random.default_rng(seed)
         xf = rng.standard_normal((n, 72))
         yf = rng.standard_normal((m, 72))
+        if roll:  # binary frames held for runs of steps, as a piano roll holds them
+            yf = (yf > 1.0)[np.sort(rng.integers(0, m, m))].astype(float)
         c = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
         for gamma in (1e-3, 1.0, 20.0):
             assert np.array_equal(
@@ -220,10 +222,68 @@ class TestBandedBuild:
             return ThreadPoolExecutor(workers)
 
         # 8 x m x 9 elements in bands of at least 8 x 3 x 9, on 4 CPUs; the
-        # calling thread works one band, so a pool of w - 1 threads means w bands
+        # calling thread works one band, so a pool of w - 1 threads means w bands.
+        # Targets have distinct rows, so every column is built; the all-zero
+        # target is one run, one column, and starts no pool.
         x = sequence_from_rows(np.zeros((8, 9)))
+        targets = [np.arange(m * 9.0).reshape(m, 9) for m in (1, 5, 6, 11, 12, 40)]
         with _workers(4, band=8 * 3 * 9) as mp:
             mp.setattr(cost, "ThreadPoolExecutor", pool)
-            for m in (1, 5, 6, 11, 12, 40):
-                build_cost_matrix(SQ, x, sequence_from_rows(np.zeros((m, 9))))
+            for yf in targets + [np.zeros((40, 9))]:
+                build_cost_matrix(SQ, x, sequence_from_rows(yf))
         assert pools == [1, 2, 3, 3]
+
+
+@st.composite
+def _held_targets(draw):
+    """(run lengths, frame kind, dim, seed): 1-12 runs of 1-9 equal frames."""
+    return (
+        draw(st.lists(st.integers(1, 9), min_size=1, max_size=12)),
+        draw(st.sampled_from(["binary", "real", "signed_zero"])),
+        draw(st.integers(1, 12)),
+        draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+def _held_frames(runs, kind, dim, rng):
+    """A target holding one frame per entry of `runs` for that many steps."""
+    if kind == "binary":
+        frames = (rng.random((len(runs), dim)) < 0.5).astype(float)
+    elif kind == "real":
+        frames = rng.standard_normal((len(runs), dim))
+    else:  # +0.0 and -0.0 compare equal and square alike
+        frames = rng.choice([0.0, -0.0, 1.0], size=(len(runs), dim))
+    return np.repeat(frames, runs, axis=0)
+
+
+class TestRunBuild:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), _held_targets())
+    @example(3, ([1], "real", 72, 0))  # one frame
+    @example(3, ([9], "binary", 72, 0))  # all frames equal
+    @example(5, ([4, 1, 2, 6], "real", 5, 1))  # runs at both ends
+    def test_held_targets_match_per_row(self, k, n, target):
+        runs, kind, dim, seed = target
+        rng = np.random.default_rng(seed)
+        yf = _held_frames(runs, kind, dim, rng)
+        xf = _held_frames([1] * n, kind, dim, rng)
+        with _workers(k):
+            got = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _per_row_cost_matrix(xf, yf))
+
+    @pytest.mark.parametrize("runs, width", [([3, 1, 4, 2], 4), ([1] * 7, 7), ([40], 1)])
+    def test_each_run_is_built_once(self, runs, width):
+        widths = []
+        fill_rows = cost._fill_rows
+
+        def recording(xf, yf, out):
+            widths.append(yf.shape[0])
+            fill_rows(xf, yf, out)
+
+        yf = np.repeat(np.eye(len(runs), 72), runs, axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cost, "_fill_rows", recording)
+            build_cost_matrix(SQ, sequence_from_rows(np.ones((5, 72))), sequence_from_rows(yf))
+        assert widths == [width]
