@@ -14,14 +14,15 @@ probability that a path drawn from the Gibbs distribution over warping
 paths passes through (n, m). That gradient ("occupancy") is computed by a
 backward pass over the same lattice in O(N*M).
 
-Interior cells are processed one anti-diagonal at a time with strided slice
-views, which keeps every pass vectorized; results are deterministic. All
-three dynamic programs share that one traversal. The hard-minimum DP behind
-classical DTW is the forward sweep with min in place of softmin and the
-same border initialization; only its path backtracking walks cell by cell.
-The backward pass is the forward sweep over the lattice turned by 180
-degrees: a row-major array read back to front, in which each cell's
-successors become its predecessors.
+Interior cells are processed one anti-diagonal at a time with strided
+slices, which keeps every pass vectorized and deterministic. Each lattice
+shape's slices are computed once and shared by all three dynamic programs;
+a cache keeps those of 32 shapes, at about 0.5 KiB per diagonal. The
+hard-minimum DP behind classical DTW is the forward sweep with min in place
+of softmin and the same border initialization; only its path backtracking
+walks cell by cell. The backward pass is the forward sweep over the lattice
+turned by 180 degrees: a row-major array read back to front, in which each
+cell's successors become its predecessors.
 
 The soft forward and backward passes also take a (B, N, M) stack of
 lattices and update every item on each anti-diagonal, so a batch pays the
@@ -100,31 +101,28 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(*a.shape[:-2], -1).T
 
 
-def _interior_diagonals(dflat: np.ndarray, n: int, m: int):
-    """Yield (cur, diag, up, left) for each interior anti-diagonal in order.
+@lru_cache(maxsize=32)
+def _interior_diagonals(n: int, m: int) -> tuple[tuple[slice, slice, slice, slice], ...]:
+    """(cur, diag, up, left) slices of each interior anti-diagonal, in order.
 
-    `cur` is the slice of the flat positions of the cells (i, k - i) of
+    `cur` selects the flat positions of the cells (i, k - i) of
     anti-diagonal k in a row-major (n, m) lattice; on the first axis of a
     `_flat` view it selects them in one lattice or in every item of a
-    stack. `diag`, `up` and `left` are views of `dflat` at their
-    (i-1, j-1), (i-1, j) and (i, j-1) predecessors. Every predecessor lies
-    on an earlier anti-diagonal, so a caller may write `dflat[cur]` before
-    asking for the next one. Given a reversed view `_flat(a)[::-1]`, the
-    same slices walk the lattice turned by 180 degrees, from the end corner
-    back to the start, which is how the backward pass uses it.
+    stack. `diag`, `up` and `left` select their (i-1, j-1), (i-1, j) and
+    (i, j-1) predecessors, which all lie on earlier anti-diagonals. On a
+    reversed view `_flat(a)[::-1]` the same slices walk the lattice turned
+    by 180 degrees, from the end corner back to the start, as the backward
+    pass does. An entry holds only slices and ints, about 0.5 KiB per
+    diagonal: 56 KiB at 60x60, 2.2 MiB at 2048x2048.
     """
     if n < 2 or m < 2:
-        return
-    step = m - 1
+        return ()
+    step, schedule = m - 1, []
     for k in range(2, n + m - 1):
-        first = k + max(1, k - m + 1) * step
-        stop = k + min(n - 1, k - 1) * step + 1
-        yield (
-            slice(first, stop, step),
-            dflat[first - m - 1 : stop - m - 1 : step],
-            dflat[first - m : stop - m : step],
-            dflat[first - 1 : stop - 1 : step],
-        )
+        first, stop = k + max(1, k - m + 1) * step, k + min(n - 1, k - 1) * step + 1
+        # cur, then the diag, up and left predecessors m + 1, m and 1 cells back
+        schedule.append(tuple(slice(first - o, stop - o, step) for o in (0, m + 1, m, 1)))
+    return tuple(schedule)
 
 
 def _pack(items: list[np.ndarray], at_end: bool = False) -> np.ndarray:
@@ -162,7 +160,9 @@ def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
     # c is one (N, M) lattice or a start-aligned stack from `_pack`.
     d = _border_fill(c)
     dflat, cflat = _flat(d), _flat(c)
-    for cur, diag, up, left in _interior_diagonals(dflat, *c.shape[-2:]):
+    g = np.asarray(g, dtype=np.float64)  # as a 0-d array, g is not converted anew on every diagonal
+    for cur, diag, up, left in _interior_diagonals(*c.shape[-2:]):
+        diag, up, left = dflat[diag], dflat[up], dflat[left]
         lo = np.minimum(np.minimum(diag, up), left)
         s = np.exp((lo - diag) / g) + np.exp((lo - up) / g) + np.exp((lo - left) / g)
         dflat[cur] = cflat[cur] + lo - g * np.log(s)
@@ -173,8 +173,8 @@ def _hard_fill(c: np.ndarray) -> np.ndarray:
     # The forward sweep with the hard minimum in place of softmin.
     d = _border_fill(c)
     dflat, cflat = d.ravel(), c.ravel()
-    for cur, diag, up, left in _interior_diagonals(dflat, *c.shape):
-        dflat[cur] = cflat[cur] + np.minimum(np.minimum(diag, up), left)
+    for cur, diag, up, left in _interior_diagonals(*c.shape):
+        dflat[cur] = cflat[cur] + np.minimum(np.minimum(dflat[diag], dflat[up]), dflat[left])
     return d
 
 
@@ -229,8 +229,8 @@ def _backward_fill(
     # down, right and diagonal successors become its up, left and diagonal
     # predecessors, so the forward sweep applies unchanged.
     ef, vf, hf, df = (_flat(a)[::-1] for a in (e, wv, wh, wd))
-    for cur, diag, up, left in _interior_diagonals(ef, n, m):
-        ef[cur] = vf[cur] * up + hf[cur] * left + df[cur] * diag
+    for cur, diag, up, left in _interior_diagonals(n, m):
+        ef[cur] = vf[cur] * ef[up] + hf[cur] * ef[left] + df[cur] * ef[diag]
     return np.clip(e, 0.0, 1.0, out=e)
 
 

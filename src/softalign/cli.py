@@ -410,7 +410,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args, sys.stdout)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softalign import (
+    LabelVariant,
     NonFiniteCostError,
     TooManyPathsError,
+    TrainConfig,
     brute_force_softdtw,
     classical_dtw,
+    generate_synthetic_dataset,
     path_count,
     soft_min,
     softdtw_forward,
     softdtw_gradient,
+    train,
 )
 from softalign.cli import finite_difference_gradient, norm_rel_err
 
@@ -475,6 +479,55 @@ class TestBatchedSweep:
         for stack, at_end in ((start, False), (end, True)):
             views = _unpack(stack, [a.shape for a in items], at_end)
             assert all(np.array_equal(v, a) for v, a in zip(views, items))
+
+
+class TestDiagonalSchedule:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_visits_each_interior_cell_once_with_its_predecessors(self, n):
+        from softalign.alignment import _interior_diagonals
+
+        for m in range(1, 13):
+            flat = np.arange(n * m)
+            schedule = _interior_diagonals(n, m)
+            assert len(schedule) == (n + m - 3 if n > 1 and m > 1 else 0)
+            visited = []
+            for k, (cur, diag, up, left) in enumerate(schedule, start=2):
+                i, j = np.divmod(flat[cur], m)
+                assert np.all((i >= 1) & (j >= 1) & (i + j == k))
+                for s, (di, dj) in ((diag, (1, 1)), (up, (1, 0)), (left, (0, 1))):
+                    pi, pj = np.divmod(flat[s], m)
+                    assert np.array_equal(pi, i - di) and np.array_equal(pj, j - dj)
+                visited.extend(flat[cur].tolist())
+            assert sorted(visited) == [i * m + j for i in range(1, n) for j in range(1, m)]
+
+    def test_is_an_immutable_tuple_shared_per_shape(self):
+        from softalign.alignment import _interior_diagonals
+
+        schedule = _interior_diagonals(7, 5)
+        assert type(schedule) is tuple
+        assert all(type(entry) is tuple and len(entry) == 4 for entry in schedule)
+        assert _interior_diagonals(7, 5) is schedule
+        assert _interior_diagonals(5, 7) is not schedule
+
+    def test_second_training_epoch_adds_no_cache_miss(self, monkeypatch):
+        from softalign import training
+        from softalign.alignment import _interior_diagonals
+
+        misses = []
+        evaluate_model = training.evaluate_model
+
+        def record_misses(*args):
+            misses.append(_interior_diagonals.cache_info().misses)
+            return evaluate_model(*args)
+
+        monkeypatch.setattr(training, "evaluate_model", record_misses)
+        data = generate_synthetic_dataset(seed=4, excerpt_count=3, frames=24, polyphony=2, noise_level=0.05)
+        config = TrainConfig(learning_rate=1.0, epochs=2, batch_excerpts=2, variant=LabelVariant.COLLAPSE_STRETCH)
+        _interior_diagonals.cache_clear()
+        train(data, config)
+        assert len(misses) == 2
+        assert 0 < misses[0] == misses[1]
+        assert _interior_diagonals.cache_info().hits > 0
 
 
 def _all_padded_paths(n, m):

@@ -277,6 +277,15 @@ class TestDatagenTrainEvalPipeline:
         assert out == ""
         assert message in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_divergence_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "train", "--variant", "strong", "--loss", "l2", "--lr", "1e308", "--epochs", "3")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: training diverged at epoch 0, batch 0: the updated weight or bias is not finite"
+        ]
+
     def test_directory_without_manifest_still_loads(self, tmp_path, capsys):
         out_dir = tmp_path / "data"
         run_cli(capsys, "datagen", "--out", str(out_dir), "--seed", "3",
