@@ -5,8 +5,10 @@ whitespace-separated row of reals per line. Values are written with 17
 significant digits so write-then-read round-trips exactly; NaN and
 infinity tokens are rejected on read.
 
-Reports are flat `key value` lines on stdout; diagnostics go to stderr.
-Exit codes: 0 success, 1 usage/parse error, 2 tolerance failure.
+Reports are flat `key value` lines on stdout, written once the command has
+succeeded. A command that fails writes nothing to stdout and one `error:`
+line to stderr; `align` reports a float64 overflow as such an error.
+Exit codes: 0 success, 1 usage, parse or overflow error, 2 tolerance failure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .alignment import (
     softdtw_forward,
     softdtw_gradient,
 )
-from .core import FeatureSequence, PianoRoll
+from .core import DimensionMismatchError, FeatureSequence, PianoRoll
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, evaluate
 from .targets import LabelVariant
@@ -54,11 +56,11 @@ class SequenceFileError(ValueError):
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)  # shortest exact round-trip
-    return str(value)
+    return str(value)  # floats print as their shortest exact round-trip
+
+
+def _report_text(report) -> str:
+    return "".join(f"{key} {_fmt(value)}\n" for key, value in report)
 
 
 def write_sequence_file(path, matrix) -> None:
@@ -98,10 +100,6 @@ def read_sequence_file(path) -> np.ndarray:
     return data
 
 
-def _emit(out, key, value) -> None:
-    print(f"{key} {_fmt(value)}", file=out)
-
-
 def norm_rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
     """Max-norm relative error: ||candidate - reference||_inf / ||reference||_inf."""
     denom = float(np.abs(reference).max())
@@ -125,39 +123,37 @@ def finite_difference_gradient(costs: np.ndarray, gamma: float, h: float = 1e-5)
     return grad
 
 
-def _cmd_align(args, out) -> int:
+def _cmd_align(args):
     x = FeatureSequence(read_sequence_file(args.x_file))
     y = FeatureSequence(read_sequence_file(args.y_file))
     if x.dim != y.dim:
-        print(
-            f"error: sequence dimensions differ: {args.x_file} has {x.dim}, "
-            f"{args.y_file} has {y.dim}",
-            file=sys.stderr,
+        raise DimensionMismatchError(
+            f"sequence dimensions differ: {args.x_file} has {x.dim}, {args.y_file} has {y.dim}"
         )
-        return 1
-    costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y)
-    result = softdtw_forward(costs, args.gamma)
-    _emit(out, "rows_x", len(x))
-    _emit(out, "rows_y", len(y))
-    _emit(out, "dim", x.dim)
-    _emit(out, "gamma", float(args.gamma))
-    _emit(out, "softdtw_cost", result.cost)
-    if args.hard:
-        hard_cost, path = classical_dtw(costs)
-        _emit(out, "dtw_cost", hard_cost)
-        _emit(out, "dtw_path_length", len(path))
-        for k, (n, m) in enumerate(path):
-            print(f"dtw_path.{k} {n} {m}", file=out)
-    if args.grad is not None:
-        write_sequence_file(args.grad, softdtw_gradient(costs, args.gamma))
-        _emit(out, "grad_file", args.grad)
-    return 0
+
+    def finite(value):
+        # finite inputs can still overflow float64 (squared differences, border sums)
+        if not np.isfinite(value).all():
+            raise FloatingPointError(f"float64 overflow aligning {args.x_file} with {args.y_file}")
+        return value
+
+    report = [("rows_x", len(x)), ("rows_y", len(y)), ("dim", x.dim), ("gamma", float(args.gamma))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = finite(build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y))
+        report.append(("softdtw_cost", finite(softdtw_forward(costs, args.gamma).cost)))
+        if args.hard:
+            hard_cost, path = classical_dtw(costs)
+            report += [("dtw_cost", finite(hard_cost)), ("dtw_path_length", len(path))]
+            report += [(f"dtw_path.{k}", f"{n} {m}") for k, (n, m) in enumerate(path)]
+        if args.grad is not None:
+            write_sequence_file(args.grad, finite(softdtw_gradient(costs, args.gamma)))
+            report.append(("grad_file", args.grad))
+    return 0, report
 
 
-def _cmd_gradcheck(args, out) -> int:
+def _cmd_gradcheck(args):
     if args.rows < 1 or args.cols < 1 or args.dim < 1 or args.trials < 1:
-        print("error: rows, cols, dim and trials must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("rows, cols, dim and trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     run_oracle = (
         path_count(args.rows, args.cols, cap=ORACLE_CHECK_PATH_LIMIT + 1)
@@ -179,21 +175,25 @@ def _cmd_gradcheck(args, out) -> int:
             denom = max(abs(oracle_cost), 1e-300)
             worst_oracle_cost = max(worst_oracle_cost, abs(dp_cost - oracle_cost) / denom)
             worst_oracle_grad = max(worst_oracle_grad, norm_rel_err(grad, oracle_grad))
-    _emit(out, "rows", args.rows)
-    _emit(out, "cols", args.cols)
-    _emit(out, "dim", args.dim)
-    _emit(out, "gamma", float(args.gamma))
-    _emit(out, "trials", args.trials)
-    _emit(out, "oracle_checked", run_oracle)
-    _emit(out, "max_rel_err_fd", worst_fd)
+    report = [
+        ("rows", args.rows),
+        ("cols", args.cols),
+        ("dim", args.dim),
+        ("gamma", float(args.gamma)),
+        ("trials", args.trials),
+        ("oracle_checked", run_oracle),
+        ("max_rel_err_fd", worst_fd),
+    ]
     ok = worst_fd < args.fd_tolerance
     if run_oracle:
-        _emit(out, "max_rel_err_oracle_cost", worst_oracle_cost)
-        _emit(out, "max_rel_err_oracle_grad", worst_oracle_grad)
+        report += [
+            ("max_rel_err_oracle_cost", worst_oracle_cost),
+            ("max_rel_err_oracle_grad", worst_oracle_grad),
+        ]
         ok = ok and worst_oracle_cost < args.oracle_tolerance
         ok = ok and worst_oracle_grad < args.oracle_tolerance
-    _emit(out, "pass", ok)
-    return 0 if ok else 2
+    report.append(("pass", ok))
+    return (0 if ok else 2), report
 
 
 def _dataset_paths(directory: Path, index: int) -> dict[str, Path]:
@@ -215,7 +215,7 @@ def _generate_dataset(args, seed: int) -> list[SyntheticExcerpt]:
     )
 
 
-def _cmd_datagen(args, out) -> int:
+def _cmd_datagen(args):
     dataset = _generate_dataset(args, args.seed)
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
@@ -224,16 +224,14 @@ def _cmd_datagen(args, out) -> int:
         write_sequence_file(paths["input"], excerpt.input.frames)
         write_sequence_file(paths["strong"], excerpt.strong_target.frames)
         write_sequence_file(paths["score"], excerpt.score_target.frames)
-    manifest = directory / "dataset.txt"
-    with manifest.open("w") as fh:
-        _emit(fh, "excerpts", args.excerpts)
-        _emit(fh, "frames", args.frames)
-        _emit(fh, "polyphony", args.polyphony)
-        _emit(fh, "noise_level", float(args.noise))
-        _emit(fh, "seed", args.seed)
-    _emit(out, "out_dir", directory)
-    _emit(out, "excerpts", args.excerpts)
-    return 0
+    (directory / "dataset.txt").write_text(_report_text([
+        ("excerpts", args.excerpts),
+        ("frames", args.frames),
+        ("polyphony", args.polyphony),
+        ("noise_level", float(args.noise)),
+        ("seed", args.seed),
+    ]))
+    return 0, [("out_dir", directory), ("excerpts", args.excerpts)]
 
 
 def _manifest_excerpt_count(directory: Path) -> int | None:
@@ -276,7 +274,7 @@ def _load_dataset(directory: Path) -> list[SyntheticExcerpt]:
     return excerpts
 
 
-def _cmd_train(args, out) -> int:
+def _cmd_train(args):
     if args.data_dir is not None:
         dataset = _load_dataset(Path(args.data_dir))
     else:
@@ -294,7 +292,7 @@ def _cmd_train(args, out) -> int:
     model, history = train(dataset, config)
 
     final = history[-1].report
-    lines = [
+    report = [
         ("tool_version", __version__),
         ("config.variant", config.variant.value),
         ("config.loss", config.loss_kind.value),
@@ -309,24 +307,22 @@ def _cmd_train(args, out) -> int:
         *((f"epoch.{record.epoch}.loss", record.mean_loss) for record in history),
         *((f"final.{name}", getattr(final, name)) for name in _REPORT_FIELDS),
     ]
-    text = "".join(f"{key} {_fmt(value)}\n" for key, value in lines)
-    out.write(text)
     if args.report is not None:
-        Path(args.report).write_text(text)
+        Path(args.report).write_text(_report_text(report))
     if args.model_out is not None:
         # one row per output bin: the input weights followed by the bias
         write_sequence_file(args.model_out, np.hstack([model.weight, model.bias[:, None]]))
-    return 0
+    return 0, report
 
 
-def _cmd_eval(args, out) -> int:
+def _cmd_eval(args):
     pred = FeatureSequence(read_sequence_file(args.pred_file))
     ref = PianoRoll(read_sequence_file(args.ref_file))
     report = evaluate(pred, ref, args.threshold)
-    _emit(out, "threshold", float(report.threshold))
-    for name in _REPORT_FIELDS:
-        _emit(out, name, getattr(report, name))
-    return 0
+    return 0, [
+        ("threshold", float(report.threshold)),
+        *((name, getattr(report, name)) for name in _REPORT_FIELDS),
+    ]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -408,11 +404,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a handler returns its report or raises, so a failed command writes no stdout
     try:
-        return _HANDLERS[args.command](args, sys.stdout)
+        code, report = _HANDLERS[args.command](args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(_report_text(report))
+    return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,15 @@ def report_dict(out):
     return fields
 
 
+def assert_one_error(code, out, err):
+    """A failed command exits 1 with no report and one `error:` line; returns that line."""
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
 # Two 2-dim sequences engineered so the squared-Euclidean cost matrix is
 # [[1, 2], [3, 4]] up to float rounding of sqrt(2).
 GOLDEN_X = np.array([[0.0, 0.0], [2.0, np.sqrt(2.0)]])
@@ -138,9 +147,7 @@ class TestAlignCommand:
     def test_parse_error_exits_one(self, tmp_path, capsys):
         f = tmp_path / "x.txt"
         f.write_text("1 1\nnan\n")
-        code, out, err = run_cli(capsys, "align", str(f), str(f))
-        assert code == 1
-        assert "error" in err
+        assert_one_error(*run_cli(capsys, "align", str(f), str(f)))
 
     def test_usage_error_exits_one(self, capsys):
         assert run_cli(capsys, "align")[0] == 1
@@ -219,10 +226,8 @@ class TestDatagenTrainEvalPipeline:
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_datagen_rejects_non_finite_noise(self, tmp_path, capsys, noise):
         out_dir = tmp_path / "data"
-        code, out, err = run_cli(capsys, "datagen", "--out", str(out_dir), "--noise", noise)
-        assert code == 1
-        assert out == ""
-        assert "noise_level must be finite" in err
+        line = assert_one_error(*run_cli(capsys, "datagen", "--out", str(out_dir), "--noise", noise))
+        assert "noise_level must be finite" in line
         assert not out_dir.exists()
 
     def test_train_defaults_are_the_bundled_toy_config(self):
@@ -240,9 +245,8 @@ class TestDatagenTrainEvalPipeline:
             path.unlink()
         with pytest.raises(SequenceFileError, match="lists 4 excerpts, found 2"):
             _load_dataset(out_dir)
-        code, _, err = run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1")
-        assert code == 1
-        assert "lists 4 excerpts" in err
+        line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1"))
+        assert "lists 4 excerpts" in line
 
     def test_train_refuses_malformed_manifest(self, tmp_path, capsys):
         out_dir = tmp_path / "data"
@@ -259,10 +263,8 @@ class TestDatagenTrainEvalPipeline:
             data_dir.mkdir()
         if contents == "manifest only":
             (data_dir / "dataset.txt").write_text("excerpts 0\n")
-        code, out, err = run_cli(capsys, "train", "--data-dir", str(data_dir), "--epochs", "1")
-        assert code == 1
-        assert out == ""
-        assert "no excerpt files found" in err
+        line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(data_dir), "--epochs", "1"))
+        assert "no excerpt files found" in line
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "nan", "learning_rate must be positive and finite"),
@@ -272,10 +274,10 @@ class TestDatagenTrainEvalPipeline:
         ("--threshold", "-inf", "threshold must be finite"),
     ])
     def test_train_rejects_non_finite_rate_or_threshold(self, capsys, flag, value, message):
-        code, out, err = run_cli(capsys, "train", "--variant", "strong", "--epochs", "1", f"{flag}={value}")
-        assert code == 1
-        assert out == ""
-        assert message in err
+        line = assert_one_error(
+            *run_cli(capsys, "train", "--variant", "strong", "--epochs", "1", f"{flag}={value}")
+        )
+        assert message in line
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_train_divergence_is_one_error_line(self, capsys):
@@ -331,15 +333,47 @@ class TestDatagenTrainEvalPipeline:
     def test_eval_non_finite_threshold_exits_one(self, tmp_path, capsys, threshold):
         f = tmp_path / "r.txt"
         write_sequence_file(f, np.zeros((2, 72)))
-        code, out, err = run_cli(capsys, "eval", str(f), str(f), f"--threshold={threshold}")
-        assert code == 1
-        assert out == ""
-        assert "threshold must be finite" in err
+        line = assert_one_error(*run_cli(capsys, "eval", str(f), str(f), f"--threshold={threshold}"))
+        assert "threshold must be finite" in line
 
     def test_eval_shape_mismatch_exits_one(self, tmp_path, capsys):
         fp, fr = tmp_path / "p.txt", tmp_path / "r.txt"
         write_sequence_file(fp, np.zeros((2, 72)))
         write_sequence_file(fr, np.zeros((3, 72)))
-        code, _, err = run_cli(capsys, "eval", str(fp), str(fr))
-        assert code == 1
-        assert "error" in err
+        assert_one_error(*run_cli(capsys, "eval", str(fp), str(fr)))
+
+
+class TestFailedCommands:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["align", "{x}", "{x}", "--hard", "--grad", "{missing}/e.txt"], id="align-grad"),
+        pytest.param(["align", "{x}", "{y3}"], id="align-dimension-mismatch"),
+        pytest.param(["gradcheck", "--rows", "0"], id="gradcheck-rows"),
+        pytest.param(["train", "--epochs", "1", "--excerpts", "2", "--frames", "20",
+                      "--report", "{missing}/r.txt"], id="train-report"),
+        pytest.param(["train", "--epochs", "1", "--excerpts", "2", "--frames", "20",
+                      "--model-out", "{missing}/m.txt"], id="train-model-out"),
+    ])
+    def test_failed_command_prints_no_report(self, tmp_path, capsys, argv):
+        write_sequence_file(tmp_path / "x.txt", GOLDEN_X)
+        write_sequence_file(tmp_path / "y3.txt", [[1.0, 2.0, 3.0]])
+        paths = {"x": tmp_path / "x.txt", "y3": tmp_path / "y3.txt", "missing": tmp_path / "missing"}
+        assert_one_error(*run_cli(capsys, *(arg.format(**paths) for arg in argv)))
+
+    # Finite inputs whose squared differences overflow (2 frames of 1e200), and
+    # whose costs (about 4e306) are finite but whose 200-cell border sums overflow.
+    @pytest.mark.parametrize("x, y", [
+        pytest.param(np.full((2, 4), 1e200), np.ones((3, 4)), id="squared-difference"),
+        pytest.param(np.full((3, 4), 1e153), np.ones((200, 4)), id="border-sum"),
+    ])
+    @pytest.mark.parametrize("warnings_filter", [
+        pytest.param("error", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+        pytest.param("ignore", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ])
+    def test_align_overflow_is_one_error(self, tmp_path, capsys, x, y, warnings_filter):
+        fx, fy, fg = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "grad.txt"
+        write_sequence_file(fx, x)
+        write_sequence_file(fy, y)
+        line = assert_one_error(*run_cli(capsys, "align", str(fx), str(fy), "--hard", "--grad", str(fg)))
+        assert "overflow" in line
+        assert str(fx) in line and str(fy) in line
+        assert not fg.exists()
