@@ -13,7 +13,9 @@ workload alike. One traced round per workload at the first seed
 Per workload the file holds the median and quartiles of `work_per_s`,
 `peak_alloc_mb` and `setup_s`, `failed_frac` over every run (traced ones
 included), the traced round's per-layer values and any layer it could not
-trace. It also records the runs' `env.*` lines and whether
+trace. `digest` is `perfbench/checks.digest` of the outputs of one timed
+round at the first seed, so two records whose digests are equal produced
+bit-identical outputs. It also records the runs' `env.*` lines and whether
 `PYTHONDONTWRITEBYTECODE` is set: with it set, every set-up recompiles the
 package, so `setup_s` grows with the source. Before the benchmark runs, one
 run of the Tier-1 test command (`PYTHONPATH=src python -m pytest -q
@@ -39,6 +41,15 @@ from pathlib import Path
 SEEDS = (301, 302, 303, 304, 305)
 END_TO_END = ("work_per_s", "peak_alloc_mb", "setup_s")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# Prints the digest of one timed round's outputs: argv is the workload name and seed.
+DIGEST = """
+import sys
+sys.path.insert(0, "perfbench")
+import checks, run, workloads
+w = workloads.WORKLOADS[sys.argv[1]]
+mods, data, _ = run.set_up(w, w.raw(int(sys.argv[2])))
+print(checks.digest([op.run() for op in w.ops(mods, data, 0, "timed")]))
+"""
 
 
 def spread(values: list[float]) -> dict:
@@ -58,6 +69,16 @@ def run(root: Path, command: list[str], args: list[str]) -> tuple[list[str], dic
         raise SystemExit(f"benchmark run failed ({proc.returncode}): {' '.join(command + args)}")
     lines = proc.stdout.splitlines()
     return lines, json.loads(lines[-1])
+
+
+def output_digest(root: Path, name: str, seed: int) -> str:
+    """`perfbench/checks.digest` of one timed round of workload `name` in `root`."""
+    proc = subprocess.run([sys.executable, "-c", DIGEST, name, str(seed)], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"digest run failed ({proc.returncode}) for {name} in {root}")
+    return proc.stdout.strip()
 
 
 def tier1_wall(root: Path) -> float:
@@ -124,6 +145,7 @@ def main(argv=None) -> int:
             "failed_frac": failed / attempted,
             "trace": {key: m["value"] for key, m in result["metrics"].items()},
             "trace_absent": [line.split(" ", 1)[1] for line in lines if line.startswith("trace.absent ")],
+            "digest": output_digest(args.root, name, args.seeds[0]),
         }
 
     out = {

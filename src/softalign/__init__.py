@@ -38,9 +38,11 @@ from .targets import (
 )
 from .metrics import (
     EvalReport,
+    Reference,
     average_precision,
     cosine_similarity,
     evaluate,
+    prepare_reference,
     threshold_metrics,
 )
 from .training import (

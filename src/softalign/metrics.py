@@ -2,7 +2,9 @@
 
 All threshold-based counts are micro-averaged over every frame-bin cell of
 the evaluated material; concatenate excerpts before calling to evaluate a
-whole set.
+whole set. Each measure reads a `Reference`, which `prepare_reference`
+builds once for repeated evaluation; a roll passed instead is prepared on
+the fly. Each raises ValueError on a NaN or infinite prediction.
 """
 
 from __future__ import annotations
@@ -31,33 +33,98 @@ class EvalReport:
     threshold: float = DEFAULT_THRESHOLD
 
 
-def _check_pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
-    p, r = pred.frames, ref.frames
-    if p.shape[0] != r.shape[0]:
-        raise LengthMismatchError(f"sequence lengths differ: {p.shape[0]} vs {r.shape[0]}")
-    if p.shape[1] != r.shape[1]:
-        raise DimensionMismatchError(f"frame dimensions differ: {p.shape[1]} vs {r.shape[1]}")
-    return p, r
+@dataclass(frozen=True, eq=False)
+class Reference:
+    """What the measures read of a reference: the flat indices of its
+    positive cells, their count per frame, and a real-valued cosine
+    reference with its frame norms (None: the cosine reads the 0/1 cells)."""
+
+    shape: tuple[int, int]
+    positives: np.ndarray
+    counts: np.ndarray
+    cosine_frames: np.ndarray | None = None
+    cosine_norms: np.ndarray | None = None
 
 
-def cosine_similarity(pred: FeatureSequence, ref: FeatureSequence | PianoRoll) -> float:
+def prepare_reference(
+    ref: FeatureSequence | PianoRoll | Reference, cosine_ref: FeatureSequence | None = None
+) -> Reference:
+    """`ref` prepared, with `cosine_ref` replacing it for the cosine measure.
+
+    Without `cosine_ref`, a PianoRoll keeps no dense frames and any other
+    `ref` is its own cosine reference. A Reference is returned as is."""
+    if isinstance(ref, Reference):
+        if cosine_ref is not None:
+            raise ValueError("a prepared reference already holds its cosine reference")
+        return ref
+    truth = ref.frames > 0.0
+    positives = np.flatnonzero(truth).astype(np.min_scalar_type(truth.size))
+    counts = np.count_nonzero(truth, axis=1).astype(np.int32)
+    if cosine_ref is None and isinstance(ref, PianoRoll):
+        return Reference(truth.shape, positives, counts)
+    frames = (ref if cosine_ref is None else cosine_ref).frames
+    _check_shapes(frames, truth.shape)
+    return Reference(truth.shape, positives, counts, frames, _norms(frames))
+
+
+def _norms(frames: np.ndarray) -> np.ndarray:
+    # np.linalg.norm's arithmetic without its copy
+    with np.errstate(over="ignore", under="ignore"):
+        return np.sqrt(np.add.reduce(frames * frames, axis=1))
+
+
+def _check_shapes(frames: np.ndarray, shape: tuple[int, ...]) -> None:
+    if frames.shape[0] != shape[0]:
+        raise LengthMismatchError(f"sequence lengths differ: {frames.shape[0]} vs {shape[0]}")
+    if frames.shape[1] != shape[1]:
+        raise DimensionMismatchError(f"frame dimensions differ: {frames.shape[1]} vs {shape[1]}")
+
+
+def _checked(pred: FeatureSequence, ref, measure: str) -> tuple[np.ndarray, Reference]:
+    """The prediction frames, checked against the reference and for finiteness."""
+    reference = prepare_reference(ref)
+    p = pred.frames
+    _check_shapes(p, reference.shape)
+    if not np.isfinite(p).all():
+        raise ValueError(f"{measure} requires finite scores")
+    return p, reference
+
+
+def cosine_similarity(pred: FeatureSequence, ref: FeatureSequence | PianoRoll | Reference) -> float:
     """Mean per-frame cosine similarity.
 
     A frame pair where both vectors are zero counts as 1 (perfect match of
-    silence); a pair where exactly one is zero counts as 0.
+    silence); a pair where exactly one is zero counts as 0. A pair with a
+    norm outside [2**-511, 2**511], where squares could overflow or
+    underflow, is recomputed with each frame scaled to a peak magnitude of 1.
     """
-    p, r = _check_pair(pred, ref)
-    pn = np.linalg.norm(p, axis=1)
-    rn = np.linalg.norm(r, axis=1)
-    dots = np.einsum("nd,nd->n", p, r)
-    ok = (pn > 0.0) & (rn > 0.0)
-    per_frame = np.where(ok, dots / np.where(ok, pn * rn, 1.0), 0.0)
-    per_frame = np.where((pn == 0.0) & (rn == 0.0), 1.0, per_frame)
+    p, reference = _checked(pred, ref, "cosine_similarity")
+    with np.errstate(all="ignore"):  # every frame this can affect is redone
+        r = p * p
+        pn = np.sqrt(np.add.reduce(r, axis=1))  # as _norms computes them
+        if reference.cosine_frames is None:
+            # The 0/1 frames, rebuilt over the squares so that the dot products
+            # keep the einsum's bits; sqrt(count) is their norm exactly.
+            r.fill(0.0)
+            np.put(r, reference.positives, 1.0)
+            rn = np.sqrt(reference.counts)
+        else:
+            r, rn = reference.cosine_frames, reference.cosine_norms
+        per_frame = np.einsum("nd,nd->n", p, r) / (pn * rn)
+        lo, hi = 2.0**-511, 2.0**511
+        redo = np.flatnonzero(~((pn >= lo) & (pn <= hi) & (rn >= lo) & (rn <= hi)))
+        if redo.size:
+            # A subnormal peak scales by 2**1022, exactly; zero frames stay zero.
+            ps, rs = (f / np.maximum(np.abs(f).max(axis=1, keepdims=True), 2.0**-1022)
+                      for f in (p[redo], r[redo]))
+            pn, rn = _norms(ps), _norms(rs)
+            den = pn * rn  # 0 only beside a zero frame: 1 if both are, else 0
+            per_frame[redo] = np.where(den > 0.0, np.einsum("nd,nd->n", ps, rs) / den, pn == rn)
     return float(per_frame.mean())
 
 
 def threshold_metrics(
-    pred: FeatureSequence, ref: PianoRoll, threshold: float = DEFAULT_THRESHOLD
+    pred: FeatureSequence, ref: PianoRoll | Reference, threshold: float = DEFAULT_THRESHOLD
 ) -> tuple[float, float, float, float]:
     """Precision, recall, F-measure and accuracy at a detection threshold.
 
@@ -68,12 +135,10 @@ def threshold_metrics(
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    p, r = _check_pair(pred, ref)
-    hits = p >= threshold
-    truth = r > 0.0
-    tp = int(np.count_nonzero(hits & truth))
-    fp = int(np.count_nonzero(hits & ~truth))
-    fn = int(np.count_nonzero(~hits & truth))
+    p, reference = _checked(pred, ref, "threshold_metrics")
+    tp = int(np.count_nonzero(p.ravel()[reference.positives] >= threshold))
+    fp = int(np.count_nonzero(p >= threshold)) - tp
+    fn = reference.positives.size - tp
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     recall = tp / (tp + fn) if tp + fn > 0 else 1.0
     # 2PR/(P+R) evaluated on the raw counts so exact fixtures stay exact
@@ -82,30 +147,7 @@ def threshold_metrics(
     return precision, recall, f_measure, accuracy
 
 
-def _positive_group_steps(
-    scores: np.ndarray, positives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Steps of the tie groups that hold a positive cell, their indices in
-    descending score order, and the number of groups.
-
-    A function of its own so that its score-sized arrays are freed before
-    the caller allocates the dense step array.
-    """
-    # Negated scores sort ascending; a group's step depends only on how many
-    # cells, and how many positive cells, score at least as high as it.
-    s = -scores
-    s.sort()
-    group_ends = np.flatnonzero(s[1:] != s[:-1])  # every group's last index but the last's
-    pos = np.sort(-scores[positives])
-    v = pos[np.append(True, pos[1:] != pos[:-1])]  # distinct positive scores
-    tp_through = np.searchsorted(pos, v, side="right")
-    tp_before = np.searchsorted(pos, v, side="left")
-    cells_through = np.searchsorted(s, v, side="right")
-    steps = (tp_through / pos.size - tp_before / pos.size) * (tp_through / cells_through)
-    return steps, np.searchsorted(group_ends, cells_through - 1), group_ends.size + 1
-
-
-def average_precision(pred: FeatureSequence, ref: PianoRoll) -> float:
+def average_precision(pred: FeatureSequence, ref: PianoRoll | Reference) -> float:
     """Area under the precision-recall curve over ranked frame-bin scores.
 
     Step integration: cells are sorted by score descending, equal scores
@@ -114,28 +156,36 @@ def average_precision(pred: FeatureSequence, ref: PianoRoll) -> float:
     steps are computed; they are scattered into zeros at their group
     positions, and the sum adds the same terms in the same order as a sum
     over every group. With no positive reference cell the curve is
-    undefined; returns 0 and emits a RuntimeWarning. Raises ValueError if
-    any score is NaN or infinite, since such a score has no rank.
+    undefined; returns 0 and emits a RuntimeWarning.
     """
-    p, r = _check_pair(pred, ref)
-    scores = p.ravel()
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("average_precision requires finite scores")
-    positives = np.flatnonzero(r.ravel() > 0.0)
-    if positives.size == 0:
+    p, reference = _checked(pred, ref, "average_precision")
+    if reference.positives.size == 0:
         warnings.warn("average_precision: reference has no positive cells", RuntimeWarning)
         return 0.0
-    steps, groups, group_count = _positive_group_steps(scores, positives)
-    all_steps = np.zeros(group_count)
-    all_steps[groups] = steps
+    # Negated scores sort ascending; a group's step depends only on how many
+    # cells, and how many positive cells, score at least as high as it.
+    s = -p.ravel()
+    s.sort()
+    ties = np.flatnonzero(s[1:] == s[:-1])  # i where position i + 1 ties with i
+    pos = np.sort(-p.ravel()[reference.positives])
+    tp_before = np.flatnonzero(np.append(True, pos[1:] != pos[:-1]))
+    tp_through = np.append(tp_before[1:], pos.size)
+    cells_through = np.searchsorted(s, pos[tp_before], side="right")
+    steps = (tp_through / pos.size - tp_before / pos.size) * (tp_through / cells_through)
+    # A group's index is the position of its last cell minus the ties before
+    # it. The step array, one entry per group, reuses the sorted scores.
+    ends = cells_through - 1
+    all_steps = s[: s.size - ties.size]
+    all_steps.fill(0.0)
+    all_steps[ends - np.searchsorted(ties, ends)] = steps
     return float(np.sum(all_steps))
 
 
 def evaluate(
     pred: FeatureSequence,
-    ref: PianoRoll,
+    ref: PianoRoll | Reference,
     threshold: float = DEFAULT_THRESHOLD,
-    cosine_ref: FeatureSequence | PianoRoll | None = None,
+    cosine_ref: FeatureSequence | None = None,
 ) -> EvalReport:
     """Full report against a binary reference roll.
 
@@ -143,13 +193,14 @@ def evaluate(
     (needed when the natural annotation is real-valued, e.g. overtone
     targets, while the thresholded counts still compare to the roll).
     """
-    precision, recall, f_measure, accuracy = threshold_metrics(pred, ref, threshold)
+    reference = prepare_reference(ref, cosine_ref)
+    precision, recall, f_measure, accuracy = threshold_metrics(pred, reference, threshold)
     return EvalReport(
-        cosine_similarity=cosine_similarity(pred, cosine_ref if cosine_ref is not None else ref),
+        cosine_similarity=cosine_similarity(pred, reference),
         precision=precision,
         recall=recall,
         f_measure=f_measure,
         accuracy=accuracy,
-        average_precision=average_precision(pred, ref),
+        average_precision=average_precision(pred, reference),
         threshold=threshold,
     )

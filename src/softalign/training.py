@@ -19,7 +19,7 @@ import numpy as np
 from .alignment import _backward_fill, _check_gamma, _forward_fill, _pack, _unpack
 from .core import DimensionMismatchError, FeatureSequence, LengthMismatchError, PianoRoll, PITCH_COUNT
 from .cost import CostKind, build_cost_matrix
-from .metrics import DEFAULT_THRESHOLD, EvalReport, evaluate
+from .metrics import DEFAULT_THRESHOLD, EvalReport, Reference, evaluate, prepare_reference
 from .targets import LabelVariant, apply_overtones, collapse_durations, make_variant
 
 
@@ -65,11 +65,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def model_forward(model: LinearModel, input: FeatureSequence) -> FeatureSequence:
     """Apply the model frame-wise: sigmoid(W x_n + b), output dimension 72."""
-    return _concatenated_forward(model, [input])
+    return FeatureSequence(_concatenated_forward(model, [input]))
 
 
-def _concatenated_forward(model: LinearModel, inputs: list[FeatureSequence]) -> FeatureSequence:
-    """The model applied to several inputs, as one concatenated sequence.
+def _concatenated_forward(model: LinearModel, inputs: list[FeatureSequence]) -> np.ndarray:
+    """The model applied to several inputs, as one concatenated frame array.
 
     Each input's matrix product goes into its own rows, so it keeps the
     shape and the bits of a forward pass over that input alone; the bias
@@ -83,7 +83,7 @@ def _concatenated_forward(model: LinearModel, inputs: list[FeatureSequence]) -> 
         np.matmul(x.frames, model.weight.T, out=pre[start : start + len(x)])
         start += len(x)
     pre += model.bias
-    return FeatureSequence(_sigmoid(pre))
+    return _sigmoid(pre)
 
 
 @dataclass
@@ -255,18 +255,20 @@ def evaluate_model(
     model: LinearModel,
     dataset: list[SyntheticExcerpt],
     threshold: float = DEFAULT_THRESHOLD,
-    cosine_ref: FeatureSequence | None = None,
+    reference: Reference | FeatureSequence | None = None,
 ) -> EvalReport:
     """Evaluate predictions against the strongly aligned annotations.
 
-    Excerpts are concatenated (micro-averaging). `cosine_ref`, one frame
-    per concatenated input frame, replaces the binary rolls as the
-    reference of the cosine measure only; `train` passes its real-valued
-    overtone targets here.
+    Excerpts are concatenated (micro-averaging). `reference` is the strong
+    rolls' `prepare_reference`, which `train` builds once per run, or the
+    cosine measure's own reference to prepare them with: one frame per
+    concatenated input frame, e.g. real-valued overtone targets.
     """
-    rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in dataset]))
-    preds = _concatenated_forward(model, [e.input for e in dataset])
-    return evaluate(preds, rolls, threshold, cosine_ref=cosine_ref)
+    if not isinstance(reference, Reference):
+        rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in dataset]))
+        reference = prepare_reference(rolls, reference)
+    preds = FeatureSequence(_concatenated_forward(model, [e.input for e in dataset]))
+    return evaluate(preds, reference, threshold)
 
 
 def train(
@@ -297,6 +299,9 @@ def train(
     cosine_ref = None
     if config.variant is LabelVariant.OVERTONE:
         cosine_ref = FeatureSequence(np.concatenate([t.frames for t in targets]))
+    reference = prepare_reference(
+        PianoRoll(np.concatenate([e.strong_target.frames for e in dataset])), cosine_ref
+    )
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):
@@ -332,7 +337,7 @@ def train(
                 raise FloatingPointError(f"training diverged at epoch {epoch}, batch {batch}: "
                                          "the updated weight or bias is not finite")
             batch_losses.append(loss)
-        report = evaluate_model(model, dataset, config.threshold, cosine_ref)
+        report = evaluate_model(model, dataset, config.threshold, reference)
         history.append(
             EpochRecord(
                 epoch=epoch,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from softalign import (
     FeatureSequence,
     LengthMismatchError,
     PianoRoll,
+    Reference,
+    apply_overtones,
     average_precision,
     cosine_similarity,
     evaluate,
+    prepare_reference,
     threshold_metrics,
 )
 
@@ -61,6 +66,33 @@ def _dense_step_average_precision(pred, ref):
     return float(np.sum(np.diff(recall_k, prepend=0.0) * precision_k))
 
 
+def _dense_threshold_counts(pred, ref, threshold):
+    """threshold_metrics before the prepared reference: boolean masks over
+    every cell."""
+    hits = pred.frames >= threshold
+    truth = ref.frames > 0.0
+    tp = int(np.count_nonzero(hits & truth))
+    fp = int(np.count_nonzero(hits & ~truth))
+    fn = int(np.count_nonzero(~hits & truth))
+    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 1.0
+    f_measure = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn > 0 else 1.0
+    accuracy = tp / (tp + fp + fn) if tp + fp + fn > 0 else 1.0
+    return precision, recall, f_measure, accuracy
+
+
+def _dense_frame_cosines(pred, ref):
+    """Per-frame cosines before the prepared reference: np.linalg.norm of
+    both sides and the einsum dot products."""
+    p, r = pred.frames, ref.frames
+    pn = np.linalg.norm(p, axis=1)
+    rn = np.linalg.norm(r, axis=1)
+    dots = np.einsum("nd,nd->n", p, r)
+    ok = (pn > 0.0) & (rn > 0.0)
+    per_frame = np.where(ok, dots / np.where(ok, pn * rn, 1.0), 0.0)
+    return np.where((pn == 0.0) & (rn == 0.0), 1.0, per_frame)
+
+
 def tiny(pred_rows, ref_rows):
     pred = np.zeros((len(pred_rows), 72))
     ref = np.zeros((len(ref_rows), 72))
@@ -102,6 +134,53 @@ class TestCosineSimilarity:
         b = FeatureSequence(rng.standard_normal((5, 7)))
         assert -1.0 - 1e-12 <= cosine_similarity(a, b) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("peak", [1.7e308, 1e200, 1e-200, 5e-324])
+    def test_lone_extreme_value_reads_one(self, action, peak):
+        # Its square overflows or underflows; the binary reference frame
+        # points the same way, so the frame's cosine is exactly 1.
+        pred, ref = np.zeros((2, 72)), np.zeros((2, 72))
+        pred[0, 3], pred[1, 3], ref[:, 3] = peak, 1.0, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert cosine_similarity(FeatureSequence(pred), PianoRoll(ref)) == 1.0
+
+    def test_frames_in_range_keep_their_bits(self):
+        rng = np.random.default_rng(4)
+        pred = rng.random((7, 72))
+        truth = (rng.random((7, 72)) < 0.2).astype(float)
+        truth[2] = truth[5] = 0.0
+        truth[2, 9] = truth[5, 9] = 1.0
+        pred[2] = pred[5] = 0.0
+        pred[2, 9], pred[5, 9] = 1e300, 1e-300
+        with np.errstate(over="ignore"):  # the dense form misreads frame 2
+            want = _dense_frame_cosines(FeatureSequence(pred), PianoRoll(truth))
+        want[2] = want[5] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cosine_similarity(FeatureSequence(pred), PianoRoll(truth))
+        assert got == float(want.mean())
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_per_frame_scale_invariance_at_any_magnitude(self, action, seed, real_ref):
+        # Every frame of both sides scaled by its own power of ten in
+        # [1e-300, 1e300]; zero frames stay zero.
+        rng = np.random.default_rng(seed)
+        pred = rng.random((6, 72)) * (rng.random((6, 72)) < 0.4)
+        truth = (rng.random((6, 72)) < 0.1).astype(float)
+        ref = FeatureSequence(truth * rng.random((6, 72))) if real_ref else PianoRoll(truth)
+        scaled_pred = FeatureSequence(pred * 10.0 ** rng.integers(-300, 301, size=(6, 1)))
+        scaled_ref = FeatureSequence(ref.frames * 10.0 ** rng.integers(-300, 301, size=(6, 1)))
+        base = cosine_similarity(FeatureSequence(pred), ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            close = pytest.approx(base, rel=1e-12, abs=1e-15)
+            assert cosine_similarity(scaled_pred, ref) == close
+            if real_ref:
+                assert cosine_similarity(scaled_pred, scaled_ref) == close
+
 
 @pytest.mark.parametrize("measure", [
     cosine_similarity, threshold_metrics, average_precision, evaluate,
@@ -111,6 +190,21 @@ def test_frame_dimension_mismatch_rejected(measure):
     ref = FeatureSequence(np.zeros((2, 4)))
     with pytest.raises(DimensionMismatchError):
         measure(pred, ref)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("measure", [
+    cosine_similarity, threshold_metrics, average_precision, evaluate,
+])
+def test_non_finite_predictions_rejected(measure, bad, action):
+    pred, ref = tiny([[0.9, 0.2, 0.1], [0.3, bad, 0.6]], [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(ValueError, match="requires finite scores"):
+            measure(pred, ref)
+        with pytest.raises(ValueError, match="requires finite scores"):
+            measure(pred, prepare_reference(ref))
 
 
 class TestThresholdMetrics:
@@ -296,3 +390,65 @@ class TestEvaluate:
         assert report.f_measure == 1.0
         assert report.cosine_similarity == pytest.approx(1.0, abs=1e-12)
         assert report.average_precision == 1.0
+
+
+class TestPreparedReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 12),
+        st.sampled_from([None, 0, 1, 2]),
+        st.sampled_from([0.0, 0.1, 0.5]),
+        st.sampled_from([0.0, 0.2, 0.5]),
+        st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_equals_dense_oracles(self, seed, frames, decimals, saturated, silent, density,
+                                  overtone, threshold_is_a_score):
+        # Rounding makes tie groups; saturated cells tie at 1.0; silent
+        # frames are all-zero predictions or references.
+        rng = np.random.default_rng(seed)
+        scores = rng.random((frames, 72))
+        if decimals is not None:
+            scores = np.round(scores, decimals)
+        scores[rng.random(scores.shape) < saturated] = 1.0
+        scores[rng.random(frames) < silent] = 0.0
+        truth = (rng.random((frames, 72)) < density).astype(float)
+        truth[rng.random(frames) < silent] = 0.0
+        threshold = float(rng.choice(scores.ravel())) if threshold_is_a_score else 0.4
+        pred, ref = FeatureSequence(scores), PianoRoll(truth)
+        cosine_ref = apply_overtones(ref) if overtone else None
+        cosine = float(_dense_frame_cosines(pred, ref if cosine_ref is None else cosine_ref).mean())
+        counts = _dense_threshold_counts(pred, ref, threshold)
+        no_positives = not truth.any()
+        ap = 0.0 if no_positives else _dense_step_average_precision(pred, ref)
+        reference = prepare_reference(ref, cosine_ref)
+        for run in (lambda: evaluate(pred, ref, threshold, cosine_ref),
+                    lambda: evaluate(pred, reference, threshold)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = run()
+            assert [w.category for w in caught] == ([RuntimeWarning] if no_positives else [])
+            assert report.cosine_similarity == cosine
+            assert (report.precision, report.recall, report.f_measure, report.accuracy) == counts
+            assert report.average_precision == ap
+            assert report.threshold == threshold
+
+    def test_binary_reference_keeps_no_dense_frames(self):
+        rng = np.random.default_rng(6)
+        ref = PianoRoll((rng.random((300, 72)) < 0.05).astype(float))
+        reference = prepare_reference(ref)
+        assert reference.cosine_frames is None and reference.cosine_norms is None
+        assert np.array_equal(reference.positives, np.flatnonzero(ref.frames))
+        assert np.array_equal(reference.counts, ref.frames.sum(axis=1))
+        assert prepare_reference(reference) is reference
+
+    def test_cosine_reference_is_checked(self):
+        ref = PianoRoll(np.zeros((3, 72)))
+        with pytest.raises(LengthMismatchError):
+            prepare_reference(ref, FeatureSequence(np.zeros((2, 72))))
+        with pytest.raises(ValueError, match="already holds"):
+            evaluate(FeatureSequence(np.zeros((3, 72))), prepare_reference(ref),
+                     cosine_ref=FeatureSequence(np.zeros((3, 72))))
+        assert isinstance(prepare_reference(ref), Reference)

@@ -396,6 +396,29 @@ class TestTrain:
         expected = against_real if variant is LabelVariant.OVERTONE else against_rolls
         assert history[-1].report == expected
 
+    @pytest.mark.parametrize("variant, loss", [
+        (LabelVariant.STRONG, LossKind.PER_FRAME_CE),
+        (LabelVariant.OVERTONE, LossKind.PER_FRAME_L2),
+        (LabelVariant.STRONG, LossKind.SOFT_ALIGNMENT),
+    ])
+    def test_each_epoch_report_equals_evaluate_on_its_predictions(self, mini_data, variant, loss):
+        # train evaluates against a reference prepared once per run; a run
+        # of k epochs ends with the model of epoch k of a longer run.
+        cfg = TrainConfig(learning_rate=1.0, epochs=3, momentum=0.5, seed=4, variant=variant,
+                          loss_kind=loss)
+        _, history = train(mini_data, cfg)
+        rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
+        cosine_ref = None
+        if variant is LabelVariant.OVERTONE:
+            cosine_ref = FeatureSequence(
+                np.concatenate([apply_overtones(e.strong_target).frames for e in mini_data])
+            )
+        for k, record in enumerate(history, start=1):
+            model, _ = train(mini_data, dataclasses.replace(cfg, epochs=k))
+            preds = FeatureSequence(np.concatenate([model_forward(model, e.input).frames
+                                                    for e in mini_data]))
+            assert record.report == evaluate(preds, rolls, cfg.threshold, cosine_ref=cosine_ref)
+
     @pytest.mark.parametrize("loss", [LossKind.SOFT_ALIGNMENT, LossKind.PER_FRAME_CE])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected_before_training(self, mini_data, loss, bad):
