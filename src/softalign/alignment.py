@@ -22,7 +22,8 @@ hard-minimum DP behind classical DTW is the forward sweep with min in place
 of softmin and the same border initialization; only its path backtracking
 walks cell by cell. The backward pass is the forward sweep over the lattice
 turned by 180 degrees: a row-major array read back to front, in which each
-cell's successors become its predecessors.
+cell's successors become its predecessors. It writes its diagonal weights
+over D and the occupancy over its vertical weights, so it consumes D.
 
 The soft forward and backward passes also take a (B, N, M) stack of
 lattices and update every item on each anti-diagonal, so a batch pays the
@@ -74,7 +75,8 @@ def soft_min(values, gamma: float) -> float:
     """Smooth lower bound of min(values): -gamma * log(sum(exp(-v / gamma))).
 
     Evaluated in shifted form (minimum subtracted before exponentiation) so
-    it is overflow-safe down to very small gamma.
+    it is overflow-safe down to very small gamma. A result beyond float64
+    raises ValueError, whatever the warning filter.
     """
     g = _check_gamma(gamma)
     arr = np.asarray(values, dtype=np.float64).ravel()
@@ -83,7 +85,14 @@ def soft_min(values, gamma: float) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("soft_min requires finite values")
     lo = arr.min()
-    return float(lo - g * np.log(np.sum(np.exp((lo - arr) / g))))
+    with np.errstate(over="ignore"):  # an exponent past -max is exp(-inf) = 0, exactly
+        out = lo - g * np.log(np.sum(np.exp((lo - arr) / g)))
+        if g > 1.0 and (np.isinf(out) or np.isinf(lo - arr.max())):  # redo in units of g
+            # min: rounding of (lo / g) * g must not lift the result above lo
+            out = min(lo, g * (lo / g - np.log(np.sum(np.exp(lo / g - arr / g)))))
+    if not np.isfinite(out):
+        raise ValueError(f"soft_min overflows float64 (minimum {float(lo)!r}, gamma {g!r})")
+    return float(out)
 
 
 def _border_fill(c: np.ndarray) -> np.ndarray:
@@ -200,10 +209,11 @@ def _backward_fill(
     # can make it positive, and on large costs at tiny gamma large enough to
     # overflow exp. Each array is built over the flat lattice, where the
     # successor lies `step` cells on; steps off the lattice wrap into the
-    # next row there and are never read. One temporary at a time keeps this
-    # stage within the memory of the sweep that follows.
+    # next row there and are never read. The pass never writes `c` but
+    # consumes `d`: wd, built last, goes over D, as each exponent is complete
+    # in its one temporary before exp writes it out; E goes over wv.
     n, m = c.shape[-2:]
-    wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
+    wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), d
     dflat, cflat = _flat(d), _flat(c)
     for w, step in ((wv, m), (wh, 1), (wd, m + 1)):
         x = dflat[step:] - cflat[step:]
@@ -221,7 +231,9 @@ def _backward_fill(
                 item[:, : m - cols] = 0.0
 
     # Last row and column: the single forced chain into the end corner.
-    e = np.empty(c.shape)
+    # E overwrites wv: the chains read wv's last column before writing it,
+    # and the sweep reads each cell's vertical weight before writing its E.
+    e = wv
     e[..., -1, -1] = 1.0
     e[..., -1, -2::-1] = np.cumprod(wh[..., -1, -2::-1], axis=-1)
     e[..., -2::-1, -1] = np.cumprod(wv[..., -2::-1, -1], axis=-1)
@@ -242,10 +254,14 @@ def softdtw_gradient(costs, gamma: float) -> np.ndarray:
     entries lie in [0, 1]; both corner entries equal 1 because every
     monotone path contains them.
     """
-    c = as_cost_matrix(costs)
-    g = _check_gamma(gamma)
+    return _cost_and_gradient(costs, gamma)[1]
+
+
+def _cost_and_gradient(costs, gamma: float) -> tuple[float, np.ndarray]:
+    # One forward sweep for both; the cost is read before the backward pass consumes D.
+    c, g = as_cost_matrix(costs), _check_gamma(gamma)
     d = _forward_fill(c, g)
-    return _backward_fill(c, d, g)
+    return float(d[-1, -1]), _backward_fill(c, d, g)
 
 
 def classical_dtw(costs) -> tuple[float, list[tuple[int, int]]]:

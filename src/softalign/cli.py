@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
+    _cost_and_gradient,
     brute_force_softdtw,
     classical_dtw,
     path_count,
     softdtw_forward,
-    softdtw_gradient,
 )
 from .core import DimensionMismatchError, FeatureSequence, PianoRoll
 from .cost import CostKind, build_cost_matrix
@@ -140,13 +140,17 @@ def _cmd_align(args):
     report = [("rows_x", len(x)), ("rows_y", len(y)), ("dim", x.dim), ("gamma", float(args.gamma))]
     with np.errstate(over="ignore", invalid="ignore"):
         costs = finite(build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y))
-        report.append(("softdtw_cost", finite(softdtw_forward(costs, args.gamma).cost)))
+        if args.grad is None:
+            cost, grad = softdtw_forward(costs, args.gamma).cost, None
+        else:  # one forward sweep serves the cost and the gradient
+            cost, grad = _cost_and_gradient(costs, args.gamma)
+        report.append(("softdtw_cost", finite(cost)))
         if args.hard:
             hard_cost, path = classical_dtw(costs)
             report += [("dtw_cost", finite(hard_cost)), ("dtw_path_length", len(path))]
             report += [(f"dtw_path.{k}", f"{n} {m}") for k, (n, m) in enumerate(path)]
-        if args.grad is not None:
-            write_sequence_file(args.grad, finite(softdtw_gradient(costs, args.gamma)))
+        if grad is not None:
+            write_sequence_file(args.grad, finite(grad))
             report.append(("grad_file", args.grad))
     return 0, report
 
@@ -166,12 +170,11 @@ def _cmd_gradcheck(args):
         x = FeatureSequence(rng.standard_normal((args.rows, args.dim)))
         y = FeatureSequence(rng.standard_normal((args.cols, args.dim)))
         costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y)
-        grad = softdtw_gradient(costs, args.gamma)
+        dp_cost, grad = _cost_and_gradient(costs, args.gamma)
         fd = finite_difference_gradient(costs, args.gamma)
         worst_fd = max(worst_fd, norm_rel_err(grad, fd))
         if run_oracle:
             oracle_cost, oracle_grad = brute_force_softdtw(costs, args.gamma)
-            dp_cost = softdtw_forward(costs, args.gamma).cost
             denom = max(abs(oracle_cost), 1e-300)
             worst_oracle_cost = max(worst_oracle_cost, abs(dp_cost - oracle_cost) / denom)
             worst_oracle_grad = max(worst_oracle_grad, norm_rel_err(grad, oracle_grad))

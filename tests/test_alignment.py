@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softalign import (
@@ -34,6 +37,11 @@ GAMMAS = (0.5, 1.0, 10.0, 20.0)
 
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# (sign, magnitude) pairs across float64's range, and every gamma soft_min accepts
+signed_magnitudes = st.lists(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-300, 1e308)), min_size=1, max_size=8
+)
+any_gamma = st.floats(5e-324, 1e308, allow_subnormal=True)
 
 
 class TestSoftMin:
@@ -74,6 +82,61 @@ class TestSoftMin:
             current = soft_min(values, gamma)
             assert current <= previous + 1e-9
             previous = current
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("values, gamma, want", [
+        ([1e308, -1e308], 1.0, -1e308),  # the spread overflows, its exponent is exactly -inf
+        ([1.0, 2.0], 5e-324, 1.0),  # the quotient overflows, its exponent is exactly -inf
+        ([1e308, -1e308], 1e308, 1e308 * (-1.0 - math.log1p(math.exp(-2.0)))),  # the spread only
+        ([1e308] * 7, 1e308, 1e308 * (1.0 - math.log(7.0))),  # gamma * ln 7 only
+    ])
+    def test_overflowing_intermediates_keep_a_finite_result(self, values, gamma, want, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert soft_min(values, gamma) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_result_beyond_float64_raises(self, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match="soft_min overflows float64"):
+                soft_min([-1.5e308, -1.5e308], 1e308)  # -1.5e308 - 1e308 * ln 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(signed_magnitudes, any_gamma)
+    @example([(-1.0, 4.0624181278154725e307), (1.0, 1.5e308)], 2.4033796216276017e175)  # (lo / g) * g > lo
+    def test_same_outcome_under_either_warning_filter(self, signed, gamma):
+        values = [sign * magnitude for sign, magnitude in signed]
+        outcomes = []
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                try:
+                    outcomes.append(soft_min(values, gamma))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        out, lo, n = outcomes[0], min(values), len(values)
+        # min - gamma * ln(n) <= soft_min <= min, checked exactly in rationals
+        floor = Fraction(lo) - Fraction(gamma) * Fraction(math.log(n)) * Fraction(1 + 1e-12)
+        if isinstance(out, str):
+            assert "soft_min overflows float64" in out
+            assert floor < -Fraction(np.finfo(np.float64).max)
+        else:
+            assert math.isfinite(out) and out <= lo
+            assert Fraction(out) >= floor - 4 * Fraction(math.ulp(out))
+
+    @settings(max_examples=400, deadline=None)
+    @given(signed_magnitudes, any_gamma)
+    def test_inputs_that_never_overflowed_keep_their_bits(self, signed, gamma):
+        values = np.array([sign * magnitude for sign, magnitude in signed])
+        lo = values.min()
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                want = float(lo - gamma * np.log(np.sum(np.exp((lo - values) / gamma))))
+        except FloatingPointError:
+            return  # this input raised a warning under the shifted formula alone
+        assert soft_min(values, gamma) == want
 
 
 class TestPathCount:
@@ -404,6 +467,34 @@ class TestBackwardSweep:
             e = softdtw_gradient(c, 1e-8)
         assert np.all((e >= 0.0) & (e <= 1.0))
 
+    def test_gradient_peak_is_four_lattices_beyond_its_input(self):
+        # At the peak: D (which takes the diagonal weights), the vertical
+        # weights (which take E), the horizontal weights and one temporary.
+        c = np.random.default_rng(0).random((256, 256))
+        softdtw_gradient(c, 1.0)  # builds and caches the shape's diagonal schedule
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            e = softdtw_gradient(c, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert e.shape == c.shape
+        assert peak <= 4 * c.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("shapes", [[(7, 9)], [(7, 9), (1, 1), (3, 12), (12, 2), (5, 5), (9, 9)]])
+    def test_costs_are_left_untouched(self, shapes):
+        # The pass consumes its D but only reads C, which is the caller's array.
+        from softalign.alignment import _backward_fill, _forward_fill, _pack, _unpack
+
+        rng = np.random.default_rng(1)
+        costs = [rng.random(shape) * 10.0 for shape in shapes]
+        c = _pack(costs, at_end=True)
+        before = c.tobytes()
+        d = _pack(_unpack(_forward_fill(_pack(costs), 1.0), shapes), at_end=True)
+        _backward_fill(c, d, 1.0, shapes)
+        assert c.tobytes() == before
+
 
 def _stacked(items, at_end=False):
     # `_pack` leaves a batch of one unstacked; stack it here so B = 1 also
@@ -420,7 +511,9 @@ def _batched_sweeps(costs, gamma):
 
     shapes = [c.shape for c in costs]
     ds = _unpack(_forward_fill(_stacked(costs), gamma), shapes)
-    e = _backward_fill(_stacked(costs, at_end=True), _stacked(ds, at_end=True), gamma, shapes)
+    # The backward pass consumes its D, and ds is returned: hand it copies.
+    d = _stacked([d.copy() for d in ds], at_end=True)
+    e = _backward_fill(_stacked(costs, at_end=True), d, gamma, shapes)
     return ds, _unpack(e, shapes, at_end=True), e
 
 

@@ -8,6 +8,7 @@ from softalign import (
     LossKind,
     brute_force_softdtw,
     build_cost_matrix,
+    softdtw_gradient,
     toy_config,
 )
 from softalign.cli import (
@@ -134,6 +135,32 @@ class TestAlignCommand:
         )
         _, oracle_grad = brute_force_softdtw(costs, 1.0)
         assert grad == pytest.approx(oracle_grad, abs=1e-12)
+
+    def test_grad_flag_runs_one_forward_sweep(self, tmp_path, capsys, monkeypatch):
+        from softalign import alignment
+
+        calls = []
+
+        def counted(c, g, _forward_fill=alignment._forward_fill):
+            calls.append(c.shape)
+            return _forward_fill(c, g)
+
+        monkeypatch.setattr(alignment, "_forward_fill", counted)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((6, 3)), rng.standard_normal((9, 3))
+        fx, fy, fg, want = (tmp_path / name for name in ("x.txt", "y.txt", "grad.txt", "want.txt"))
+        write_sequence_file(fx, x)
+        write_sequence_file(fy, y)
+        align = ("align", str(fx), str(fy), "--gamma", "2", "--hard")
+        code, plain, _ = run_cli(capsys, *align)
+        assert code == 0 and calls == [(6, 9)]
+        code, out, _ = run_cli(capsys, *align, "--grad", str(fg))
+        assert code == 0 and calls == [(6, 9)] * 2
+        # The same report and file as a forward pass and a separate gradient give.
+        assert out == plain + f"grad_file {fg}\n"
+        costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, FeatureSequence(x), FeatureSequence(y))
+        write_sequence_file(want, softdtw_gradient(costs, 2.0))
+        assert fg.read_bytes() == want.read_bytes()
 
     def test_dimension_mismatch_exits_one_with_both_dims(self, tmp_path, capsys):
         fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
