@@ -34,9 +34,10 @@ up, left and diagonal predecessors, so each item's D is exact. For the
 backward pass items sit in the end corner, so the turned sweep starts at
 each item's own (n_b-1, m_b-1); transition weights that leave a padding
 cell are set to exactly 0, which keeps E at 0 there instead of letting it
-grow without bound. A single (N, M) lattice is never stacked: the sweep
-works on flat views with the cell position first, (N*M,) for one lattice
-and (N*M, B) for a stack, so one body with plain slices serves both.
+grow without bound. `_costs_and_gradients` pairs the two passes for every
+caller, with a single lattice as a batch of one, which is never stacked:
+the sweep works on flat views with the cell position first, (N*M,) for one
+lattice and (N*M, B) for a stack, so one body with plain slices serves both.
 """
 
 from __future__ import annotations
@@ -254,14 +255,19 @@ def softdtw_gradient(costs, gamma: float) -> np.ndarray:
     entries lie in [0, 1]; both corner entries equal 1 because every
     monotone path contains them.
     """
-    return _cost_and_gradient(costs, gamma)[1]
+    return _costs_and_gradients([as_cost_matrix(costs)], _check_gamma(gamma))[1][0]
 
 
-def _cost_and_gradient(costs, gamma: float) -> tuple[float, np.ndarray]:
-    # One forward sweep for both; the cost is read before the backward pass consumes D.
-    c, g = as_cost_matrix(costs), _check_gamma(gamma)
-    d = _forward_fill(c, g)
-    return float(d[-1, -1]), _backward_fill(c, d, g)
+def _costs_and_gradients(costs: list[np.ndarray], g: float) -> tuple[list[float], list[np.ndarray]]:
+    # Cost and occupancy of each validated lattice from one pair of sweeps;
+    # the costs are read before the backward pass consumes D.
+    shapes = [c.shape for c in costs]
+    d = _forward_fill(_pack(costs), g)
+    # Rebinding frees the start-aligned stack before the backward pass.
+    d = _pack(_unpack(d, shapes), at_end=True)
+    corners = [float(corner) for corner in np.ravel(d[..., -1, -1])]
+    e = _backward_fill(_pack(costs, at_end=True), d, g, shapes)
+    return corners, _unpack(e, shapes, at_end=True)
 
 
 def classical_dtw(costs) -> tuple[float, list[tuple[int, int]]]:

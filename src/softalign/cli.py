@@ -7,7 +7,8 @@ infinity tokens are rejected on read.
 
 Reports are flat `key value` lines on stdout, written once the command has
 succeeded. A command that fails writes nothing to stdout and one `error:`
-line to stderr; `align` reports a float64 overflow as such an error.
+line to stderr, after the usage text for a usage error; `align` reports a
+float64 overflow as such an error.
 Exit codes: 0 success, 1 usage, parse or overflow error, 2 tolerance failure.
 """
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
-    _cost_and_gradient,
+    _check_gamma,
+    _costs_and_gradients,
     brute_force_softdtw,
     classical_dtw,
     path_count,
@@ -43,11 +45,6 @@ from .training import (
 
 ORACLE_CHECK_PATH_LIMIT = 10**5
 
-# EvalReport measures in the order the eval and train reports print them.
-_REPORT_FIELDS = (
-    "cosine_similarity", "precision", "recall", "f_measure", "accuracy", "average_precision",
-)
-
 
 class SequenceFileError(ValueError):
     """Raised when a sequence file cannot be parsed."""
@@ -65,10 +62,8 @@ def _report_text(report) -> str:
 
 def write_sequence_file(path, matrix) -> None:
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # a handle: savetxt would gzip a path ending in .gz
+        np.savetxt(fh, arr, fmt="%.17g", header=f"{arr.shape[0]} {arr.shape[1]}", comments="")
 
 
 def read_sequence_file(path) -> np.ndarray:
@@ -143,7 +138,7 @@ def _cmd_align(args):
         if args.grad is None:
             cost, grad = softdtw_forward(costs, args.gamma).cost, None
         else:  # one forward sweep serves the cost and the gradient
-            cost, grad = _cost_and_gradient(costs, args.gamma)
+            [cost], [grad] = _costs_and_gradients([costs], _check_gamma(args.gamma))
         report.append(("softdtw_cost", finite(cost)))
         if args.hard:
             hard_cost, path = classical_dtw(costs)
@@ -158,6 +153,7 @@ def _cmd_align(args):
 def _cmd_gradcheck(args):
     if args.rows < 1 or args.cols < 1 or args.dim < 1 or args.trials < 1:
         raise ValueError("rows, cols, dim and trials must be >= 1")
+    gamma = _check_gamma(args.gamma)
     rng = np.random.default_rng(args.seed)
     run_oracle = (
         path_count(args.rows, args.cols, cap=ORACLE_CHECK_PATH_LIMIT + 1)
@@ -170,7 +166,7 @@ def _cmd_gradcheck(args):
         x = FeatureSequence(rng.standard_normal((args.rows, args.dim)))
         y = FeatureSequence(rng.standard_normal((args.cols, args.dim)))
         costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y)
-        dp_cost, grad = _cost_and_gradient(costs, args.gamma)
+        [dp_cost], [grad] = _costs_and_gradients([costs], gamma)
         fd = finite_difference_gradient(costs, args.gamma)
         worst_fd = max(worst_fd, norm_rel_err(grad, fd))
         if run_oracle:
@@ -308,7 +304,7 @@ def _cmd_train(args):
         ("data.excerpts", len(dataset)),
         ("first_batch_loss", history[0].batch_losses[0]),
         *((f"epoch.{record.epoch}.loss", record.mean_loss) for record in history),
-        *((f"final.{name}", getattr(final, name)) for name in _REPORT_FIELDS),
+        *((f"final.{name}", value) for name, value in vars(final).items() if name != "threshold"),
     ]
     if args.report is not None:
         Path(args.report).write_text(_report_text(report))
@@ -321,18 +317,15 @@ def _cmd_train(args):
 def _cmd_eval(args):
     pred = FeatureSequence(read_sequence_file(args.pred_file))
     ref = PianoRoll(read_sequence_file(args.ref_file))
-    report = evaluate(pred, ref, args.threshold)
-    return 0, [
-        ("threshold", float(report.threshold)),
-        *((name, getattr(report, name)) for name in _REPORT_FIELDS),
-    ]
+    report = dict(vars(evaluate(pred, ref, args.threshold)))
+    return 0, [("threshold", float(report.pop("threshold"))), *report.items()]
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"error: {message}\n")
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser, seed_flag: str) -> None:

@@ -3,8 +3,9 @@
 All threshold-based counts are micro-averaged over every frame-bin cell of
 the evaluated material; concatenate excerpts before calling to evaluate a
 whole set. Each measure reads a `Reference`, which `prepare_reference`
-builds once for repeated evaluation; a roll passed instead is prepared on
-the fly. Each raises ValueError on a NaN or infinite prediction.
+builds once for repeated evaluation, and which alone can carry a
+real-valued cosine reference; a roll passed instead is prepared on the
+fly. Each raises ValueError on a NaN or infinite prediction.
 """
 
 from __future__ import annotations
@@ -182,18 +183,15 @@ def average_precision(pred: FeatureSequence, ref: PianoRoll | Reference) -> floa
 
 
 def evaluate(
-    pred: FeatureSequence,
-    ref: PianoRoll | Reference,
-    threshold: float = DEFAULT_THRESHOLD,
-    cosine_ref: FeatureSequence | None = None,
+    pred: FeatureSequence, ref: PianoRoll | Reference, threshold: float = DEFAULT_THRESHOLD
 ) -> EvalReport:
     """Full report against a binary reference roll.
 
-    `cosine_ref` overrides the reference used for the cosine measure only
-    (needed when the natural annotation is real-valued, e.g. overtone
-    targets, while the thresholded counts still compare to the roll).
+    To score the cosine measure against real-valued annotations (e.g.
+    overtone targets) while the thresholded counts still compare to the
+    roll, pass `prepare_reference(roll, cosine_ref)`.
     """
-    reference = prepare_reference(ref, cosine_ref)
+    reference = prepare_reference(ref)
     precision, recall, f_measure, accuracy = threshold_metrics(pred, reference, threshold)
     return EvalReport(
         cosine_similarity=cosine_similarity(pred, reference),

@@ -16,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .alignment import _backward_fill, _check_gamma, _forward_fill, _pack, _unpack
+from .alignment import _check_gamma, _costs_and_gradients
+from .alignment import _backward_fill, _forward_fill  # unused: perfbench/spans.py wraps them here
 from .core import DimensionMismatchError, FeatureSequence, LengthMismatchError, PianoRoll, PITCH_COUNT
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, EvalReport, Reference, evaluate, prepare_reference
@@ -166,20 +167,16 @@ def softdtw_loss_and_grads(
         build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, z, y)
         for z, y in zip(outputs, target, strict=True)
     ]
-    shapes = [c.shape for c in costs]
-    d = _forward_fill(_pack(costs), g)
-    # Rebinding frees the start-aligned stack before the backward pass.
-    d = _pack(_unpack(d, shapes), at_end=True)
+    corners, occupancies = _costs_and_gradients(costs, g)
     raw = 0.0
-    for corner in np.ravel(d[..., -1, -1]):
-        raw += float(corner)
+    for corner in corners:  # left to right: sum() compensates on Python >= 3.12
+        raw += corner
     loss = normalizer.normalize(raw)
     scale = 1.0 / normalizer.reference
-    e = _backward_fill(_pack(costs, at_end=True), d, g, shapes)
 
     grad_w = np.zeros_like(model.weight)
     grad_b = np.zeros_like(model.bias)
-    for x, z, y, occupancy in zip(input, outputs, target, _unpack(e, shapes, at_end=True)):
+    for x, z, y, occupancy in zip(input, outputs, target, occupancies):
         zf, yf = z.frames, y.frames
         # d loss / d z_n = sum_m E(n, m) * 2 (z_n - y_m)
         grad_z = 2.0 * (zf * occupancy.sum(axis=1)[:, None] - occupancy @ yf)
@@ -251,22 +248,32 @@ def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> No
             raise ConfigError("cross-entropy baseline needs binary targets")
 
 
+def _strong_reference(dataset: list[SyntheticExcerpt], cosine_targets=None) -> Reference:
+    """The concatenated strong rolls, prepared; `cosine_targets` (one
+    sequence per excerpt, e.g. overtone targets) replace them for the cosine."""
+    rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in dataset]))
+    if cosine_targets is None:
+        return prepare_reference(rolls)
+    return prepare_reference(rolls, FeatureSequence(np.concatenate([t.frames for t in cosine_targets])))
+
+
 def evaluate_model(
     model: LinearModel,
     dataset: list[SyntheticExcerpt],
     threshold: float = DEFAULT_THRESHOLD,
-    reference: Reference | FeatureSequence | None = None,
+    reference: Reference | None = None,
 ) -> EvalReport:
     """Evaluate predictions against the strongly aligned annotations.
 
-    Excerpts are concatenated (micro-averaging). `reference` is the strong
-    rolls' `prepare_reference`, which `train` builds once per run, or the
-    cosine measure's own reference to prepare them with: one frame per
-    concatenated input frame, e.g. real-valued overtone targets.
+    Excerpts are concatenated (micro-averaging). `reference` is the
+    `prepare_reference` of the concatenated strong rolls, which `train`
+    builds once per run; None prepares it here, with the binary rolls as
+    the cosine reference. Raises TypeError for anything else.
     """
-    if not isinstance(reference, Reference):
-        rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in dataset]))
-        reference = prepare_reference(rolls, reference)
+    if reference is None:
+        reference = _strong_reference(dataset)
+    elif not isinstance(reference, Reference):
+        raise TypeError(f"reference must be a prepared Reference or None, not {type(reference).__name__}")
     preds = FeatureSequence(_concatenated_forward(model, [e.input for e in dataset]))
     return evaluate(preds, reference, threshold)
 
@@ -296,12 +303,7 @@ def train(
     normalizer = LossNormalizer()
     vel_w = np.zeros_like(model.weight)
     vel_b = np.zeros_like(model.bias)
-    cosine_ref = None
-    if config.variant is LabelVariant.OVERTONE:
-        cosine_ref = FeatureSequence(np.concatenate([t.frames for t in targets]))
-    reference = prepare_reference(
-        PianoRoll(np.concatenate([e.strong_target.frames for e in dataset])), cosine_ref
-    )
+    reference = _strong_reference(dataset, targets if config.variant is LabelVariant.OVERTONE else None)
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):

@@ -526,15 +526,36 @@ class TestBatchedSweep:
         st.sampled_from([1e-8, 1e-3, 1.0, 10.0, 20.0]),
     )
     def test_matches_per_item_sweeps(self, kind, seed, shapes, gamma):
-        from softalign.alignment import _backward_fill, _forward_fill
+        # Also the one cost-and-gradient path, on the same batches.
+        from softalign.alignment import _backward_fill, _costs_and_gradients, _forward_fill
 
         costs = [_hard_case_costs(kind, seed + b, n, m) for b, (n, m) in enumerate(shapes)]
+        before = [c.tobytes() for c in costs]
         with np.errstate(over="raise", invalid="raise"):
             ds, es, _ = _batched_sweeps(costs, gamma)
-            for c, d, e in zip(costs, ds, es):
+            totals, occupancies = _costs_and_gradients(costs, gamma)
+            for c, d, e, total, occupancy in zip(costs, ds, es, totals, occupancies, strict=True):
                 single_d = _forward_fill(c, gamma)
                 assert np.array_equal(d, single_d)
                 assert np.array_equal(e, _backward_fill(c, single_d, gamma))
+                assert total == softdtw_forward(c, gamma).cost
+                assert np.array_equal(occupancy, softdtw_gradient(c, gamma))
+        assert [c.tobytes() for c in costs] == before
+
+    def test_batch_of_one_sweeps_the_callers_array(self, monkeypatch):
+        from softalign import alignment
+
+        seen = []
+
+        def recorded(c, g, _forward_fill=alignment._forward_fill):
+            seen.append(c)
+            return _forward_fill(c, g)
+
+        monkeypatch.setattr(alignment, "_forward_fill", recorded)
+        c = np.random.default_rng(2).random((5, 7))
+        [_], [e] = alignment._costs_and_gradients([c], 1.0)
+        assert len(seen) == 1 and seen[0] is c
+        assert e.shape == c.shape
 
     def test_wide_padding_stays_zero(self):
         # A 1x1 item shares a stack with a 60x60 one: it is padded by 3,599

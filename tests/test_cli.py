@@ -58,6 +58,14 @@ class TestSequenceFile:
         write_sequence_file(path, mat)
         assert np.array_equal(read_sequence_file(path), mat)
 
+    @pytest.mark.parametrize("name", ["row.txt", "row.gz"])
+    def test_written_bytes(self, tmp_path, name):
+        # 17 significant digits, a 1-D row as one 1xN row, and plain text
+        # whatever the file name.
+        path = tmp_path / name
+        write_sequence_file(path, np.array([-0.0, 5e-324, 1e308, 0.1, 3.0]))
+        assert path.read_bytes() == b"1 5\n-0 4.9406564584124654e-324 1e+308 0.10000000000000001 3\n"
+
     def test_header_and_shape_checks(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1.0 2.0\n")
@@ -179,6 +187,15 @@ class TestAlignCommand:
     def test_usage_error_exits_one(self, capsys):
         assert run_cli(capsys, "align")[0] == 1
         assert run_cli(capsys, "no-such-command")[0] == 1
+        # The usage text, then argparse's reason on a last `error:` line.
+        for argv, reason in (
+            (["align", "onlyone"], "the following arguments are required: y_file"),
+            (["no-such-command"], "invalid choice: 'no-such-command'"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("usage: softalign")
+            assert err.splitlines()[-1].startswith("error: ") and reason in err.splitlines()[-1]
 
 
 class TestGradcheckCommand:

@@ -424,7 +424,8 @@ class TestPreparedReference:
         no_positives = not truth.any()
         ap = 0.0 if no_positives else _dense_step_average_precision(pred, ref)
         reference = prepare_reference(ref, cosine_ref)
-        for run in (lambda: evaluate(pred, ref, threshold, cosine_ref),
+        for run in (lambda: evaluate(pred, ref if cosine_ref is None else prepare_reference(ref, cosine_ref),
+                                     threshold),
                     lambda: evaluate(pred, reference, threshold)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -449,6 +450,5 @@ class TestPreparedReference:
         with pytest.raises(LengthMismatchError):
             prepare_reference(ref, FeatureSequence(np.zeros((2, 72))))
         with pytest.raises(ValueError, match="already holds"):
-            evaluate(FeatureSequence(np.zeros((3, 72))), prepare_reference(ref),
-                     cosine_ref=FeatureSequence(np.zeros((3, 72))))
+            prepare_reference(prepare_reference(ref), FeatureSequence(np.zeros((3, 72))))
         assert isinstance(prepare_reference(ref), Reference)

@@ -25,6 +25,7 @@ from softalign import (
     make_variant,
     model_forward,
     per_frame_baseline_loss,
+    prepare_reference,
     sequence_from_rows,
     softdtw_loss_and_grads,
     toy_config,
@@ -390,7 +391,7 @@ class TestTrain:
         preds = FeatureSequence(np.concatenate([model_forward(model, e.input).frames for e in mini_data]))
         rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
         real = FeatureSequence(np.concatenate([apply_overtones(e.strong_target).frames for e in mini_data]))
-        against_real = evaluate(preds, rolls, cfg.threshold, cosine_ref=real)
+        against_real = evaluate(preds, prepare_reference(rolls, real), cfg.threshold)
         against_rolls = evaluate(preds, rolls, cfg.threshold)
         assert against_real.cosine_similarity != against_rolls.cosine_similarity
         expected = against_real if variant is LabelVariant.OVERTONE else against_rolls
@@ -417,7 +418,7 @@ class TestTrain:
             model, _ = train(mini_data, dataclasses.replace(cfg, epochs=k))
             preds = FeatureSequence(np.concatenate([model_forward(model, e.input).frames
                                                     for e in mini_data]))
-            assert record.report == evaluate(preds, rolls, cfg.threshold, cosine_ref=cosine_ref)
+            assert record.report == evaluate(preds, prepare_reference(rolls, cosine_ref), cfg.threshold)
 
     @pytest.mark.parametrize("loss", [LossKind.SOFT_ALIGNMENT, LossKind.PER_FRAME_CE])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -447,8 +448,20 @@ class TestTrain:
             _two_branch_sigmoid(e.input.frames @ model.weight.T + model.bias) for e in mini_data
         ]))
         rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
-        want = evaluate(preds, rolls, 0.4, cosine_ref=cosine_ref)
-        assert evaluate_model(model, mini_data, 0.4, cosine_ref) == want
+        want = evaluate(preds, prepare_reference(rolls, cosine_ref), 0.4)
+        assert evaluate_model(model, mini_data, 0.4, prepare_reference(rolls, cosine_ref)) == want
+
+    def test_evaluate_model_takes_a_prepared_reference_or_none(self, mini_data):
+        # None prepares the binary strong rolls; an unprepared sequence is
+        # refused rather than read as the reference itself.
+        model = small_model(mini_data[0].input.dim, seed=8)
+        rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
+        assert evaluate_model(model, mini_data) == evaluate_model(model, mini_data, 0.4,
+                                                                 prepare_reference(rolls))
+        overtones = FeatureSequence(apply_overtones(rolls).frames)
+        for bad in (rolls, overtones):
+            with pytest.raises(TypeError, match="Reference"):
+                evaluate_model(model, mini_data, 0.4, bad)
 
     def test_batch_accumulation_matches_batch_size(self, mini_data):
         cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=3, batch_excerpts=2,
