@@ -35,9 +35,12 @@ backward pass items sit in the end corner, so the turned sweep starts at
 each item's own (n_b-1, m_b-1); transition weights that leave a padding
 cell are set to exactly 0, which keeps E at 0 there instead of letting it
 grow without bound. `_costs_and_gradients` pairs the two passes for every
-caller, with a single lattice as a batch of one, which is never stacked:
-the sweep works on flat views with the cell position first, (N*M,) for one
-lattice and (N*M, B) for a stack, so one body with plain slices serves both.
+caller. It consumes the list of lattices it is given, as the backward pass
+consumes D: the list is emptied once the end-aligned cost stack is built,
+so the backward pass does not run beside a second copy of a batch's costs.
+A single lattice is a batch of one, which is never stacked: the sweep
+works on flat views with the cell position first, (N*M,) for one lattice
+and (N*M, B) for a stack, so one body with plain slices serves both.
 """
 
 from __future__ import annotations
@@ -260,13 +263,17 @@ def softdtw_gradient(costs, gamma: float) -> np.ndarray:
 
 def _costs_and_gradients(costs: list[np.ndarray], g: float) -> tuple[list[float], list[np.ndarray]]:
     # Cost and occupancy of each validated lattice from one pair of sweeps;
-    # the costs are read before the backward pass consumes D.
+    # the costs are read before the backward pass consumes D. Empties
+    # `costs` once their end-aligned stack is built; a batch of one stays
+    # the caller's unstacked array.
     shapes = [c.shape for c in costs]
     d = _forward_fill(_pack(costs), g)
     # Rebinding frees the start-aligned stack before the backward pass.
     d = _pack(_unpack(d, shapes), at_end=True)
     corners = [float(corner) for corner in np.ravel(d[..., -1, -1])]
-    e = _backward_fill(_pack(costs, at_end=True), d, g, shapes)
+    c = _pack(costs, at_end=True)
+    costs.clear()
+    e = _backward_fill(c, d, g, shapes)
     return corners, _unpack(e, shapes, at_end=True)
 
 

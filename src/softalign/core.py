@@ -76,6 +76,16 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
+def _owned_sequence(frames: np.ndarray) -> FeatureSequence:
+    """A FeatureSequence over `frames` itself, marked read-only: for (N, D)
+    float64 arrays the package computed and never writes again. Skips the
+    public constructor's checks and copy."""
+    frames.setflags(write=False)
+    seq = object.__new__(FeatureSequence)
+    object.__setattr__(seq, "frames", frames)
+    return seq
+
+
 @dataclass(frozen=True)
 class PianoRoll:
     """A length-M sequence of binary 72-dim pitch vectors (C1..B6, multi-hot).

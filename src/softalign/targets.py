@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PITCH_COUNT, FeatureSequence, PianoRoll
+from .core import PITCH_COUNT, FeatureSequence, PianoRoll, _owned_sequence
 
 
 class MissingStrongError(ValueError):
@@ -92,7 +92,7 @@ def apply_overtones(roll: PianoRoll) -> FeatureSequence:
     different pitches add, each bin saturates at 1, and bins above the
     72-bin range are discarded.
     """
-    return FeatureSequence(np.minimum(roll.frames @ _OVERTONE_KERNEL, 1.0))
+    return _owned_sequence(np.minimum(roll.frames @ _OVERTONE_KERNEL, 1.0))
 
 
 def make_variant(

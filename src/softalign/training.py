@@ -18,7 +18,8 @@ import numpy as np
 
 from .alignment import _check_gamma, _costs_and_gradients
 from .alignment import _backward_fill, _forward_fill  # unused: perfbench/spans.py wraps them here
-from .core import DimensionMismatchError, FeatureSequence, LengthMismatchError, PianoRoll, PITCH_COUNT
+from .core import (DimensionMismatchError, FeatureSequence, LengthMismatchError, PianoRoll, PITCH_COUNT,
+                   _owned_sequence)
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, EvalReport, Reference, evaluate, prepare_reference
 from .targets import LabelVariant, apply_overtones, collapse_durations, make_variant
@@ -66,7 +67,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def model_forward(model: LinearModel, input: FeatureSequence) -> FeatureSequence:
     """Apply the model frame-wise: sigmoid(W x_n + b), output dimension 72."""
-    return FeatureSequence(_concatenated_forward(model, [input]))
+    return _owned_sequence(_concatenated_forward(model, [input]))
 
 
 def _concatenated_forward(model: LinearModel, inputs: list[FeatureSequence]) -> np.ndarray:
@@ -197,6 +198,8 @@ def per_frame_baseline_loss(
     zf, yf = z.frames, strong_target.frames
     if zf.shape[0] != yf.shape[0]:
         raise LengthMismatchError(f"target length {yf.shape[0]} != input length {zf.shape[0]}")
+    if zf.shape[1] != yf.shape[1]:
+        raise DimensionMismatchError(f"target dimension {yf.shape[1]} != output dimension {zf.shape[1]}")
     cells = zf.size
     if kind is LossKind.PER_FRAME_L2:
         diff = zf - yf
@@ -248,13 +251,11 @@ def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> No
             raise ConfigError("cross-entropy baseline needs binary targets")
 
 
-def _strong_reference(dataset: list[SyntheticExcerpt], cosine_targets=None) -> Reference:
-    """The concatenated strong rolls, prepared; `cosine_targets` (one
-    sequence per excerpt, e.g. overtone targets) replace them for the cosine."""
+def _strong_reference(dataset: list[SyntheticExcerpt], cosine_ref=None) -> Reference:
+    """The concatenated strong rolls, prepared; `cosine_ref` (the excerpts'
+    concatenated real-valued targets, e.g. overtones) replaces them for the cosine."""
     rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in dataset]))
-    if cosine_targets is None:
-        return prepare_reference(rolls)
-    return prepare_reference(rolls, FeatureSequence(np.concatenate([t.frames for t in cosine_targets])))
+    return prepare_reference(rolls, cosine_ref)
 
 
 def evaluate_model(
@@ -274,7 +275,7 @@ def evaluate_model(
         reference = _strong_reference(dataset)
     elif not isinstance(reference, Reference):
         raise TypeError(f"reference must be a prepared Reference or None, not {type(reference).__name__}")
-    preds = FeatureSequence(_concatenated_forward(model, [e.input for e in dataset]))
+    preds = _owned_sequence(_concatenated_forward(model, [e.input for e in dataset]))
     return evaluate(preds, reference, threshold)
 
 
@@ -303,7 +304,14 @@ def train(
     normalizer = LossNormalizer()
     vel_w = np.zeros_like(model.weight)
     vel_b = np.zeros_like(model.bias)
-    reference = _strong_reference(dataset, targets if config.variant is LabelVariant.OVERTONE else None)
+    cosine_ref = None
+    if config.variant is LabelVariant.OVERTONE:
+        # One read-only copy of the real-valued targets: the loss reads row
+        # views of it, evaluation the whole as its cosine reference.
+        cosine_ref = _owned_sequence(np.concatenate([t.frames for t in targets]))
+        starts = np.cumsum([len(t) for t in targets[:-1]])
+        targets = [_owned_sequence(rows) for rows in np.split(cosine_ref.frames, starts)]
+    reference = _strong_reference(dataset, cosine_ref)
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):

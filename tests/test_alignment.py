@@ -533,7 +533,7 @@ class TestBatchedSweep:
         before = [c.tobytes() for c in costs]
         with np.errstate(over="raise", invalid="raise"):
             ds, es, _ = _batched_sweeps(costs, gamma)
-            totals, occupancies = _costs_and_gradients(costs, gamma)
+            totals, occupancies = _costs_and_gradients(list(costs), gamma)  # it empties its list
             for c, d, e, total, occupancy in zip(costs, ds, es, totals, occupancies, strict=True):
                 single_d = _forward_fill(c, gamma)
                 assert np.array_equal(d, single_d)
@@ -556,6 +556,30 @@ class TestBatchedSweep:
         [_], [e] = alignment._costs_and_gradients([c], 1.0)
         assert len(seen) == 1 and seen[0] is c
         assert e.shape == c.shape
+
+    def test_batch_peak_is_five_stacks_less_its_emptied_list(self):
+        # At the peak: the end-aligned costs, D (which takes the diagonal
+        # weights), the vertical weights (which take E), the horizontal
+        # weights and one temporary. The list's own lattices are freed by
+        # then, so they come off the peak.
+        from softalign.alignment import _costs_and_gradients
+
+        rng = np.random.default_rng(3)
+        shapes = [(128, 128), (120, 128), (128, 112), (112, 120)]
+        _costs_and_gradients([rng.random(shape) for shape in shapes], 1.0)  # caches the schedule
+        stack = len(shapes) * 128 * 128 * 8
+        tracemalloc.start()
+        try:
+            costs = [rng.random(shape) for shape in shapes]
+            items = sum(c.nbytes for c in costs)
+            base = tracemalloc.get_traced_memory()[0]
+            _, occupancies = _costs_and_gradients(costs, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert costs == []
+        assert [e.shape for e in occupancies] == shapes
+        assert peak <= 5 * stack - items + 64 * 1024
 
     def test_wide_padding_stays_zero(self):
         # A 1x1 item shares a stack with a 60x60 one: it is padded by 3,599

@@ -62,6 +62,10 @@ class TestModelForward:
         assert out.frames.shape == (7, 72)
         assert np.all((out.frames > 0.0) & (out.frames < 1.0))
 
+    def test_output_is_read_only(self):
+        out = model_forward(small_model(3), sequence_from_rows(np.ones((2, 3))))
+        assert not out.frames.flags.writeable
+
     @pytest.mark.parametrize("dims", [[3], [5, 3]])
     def test_input_dimension_mismatch_rejected(self, dims):
         # a 5-input model; the last input has 3 dimensions
@@ -286,6 +290,16 @@ class TestPerFrameBaseline:
         with pytest.raises(Exception):
             per_frame_baseline_loss(model, x, roll, LossKind.PER_FRAME_L2)
 
+    @pytest.mark.parametrize("kind", [LossKind.PER_FRAME_L2, LossKind.PER_FRAME_CE])
+    @pytest.mark.parametrize("width", [1, 10])
+    def test_target_width_mismatch_rejected(self, kind, width):
+        # as the soft-DTW loss does: no broadcast of a narrow target
+        model = small_model(5)
+        x = sequence_from_rows(np.random.default_rng(12).standard_normal((4, 5)))
+        target = FeatureSequence(np.full((4, width), 0.5))
+        with pytest.raises(DimensionMismatchError, match=f"target dimension {width} != output dimension 72"):
+            per_frame_baseline_loss(model, x, target, kind)
+
     @pytest.mark.parametrize("kind", [LossKind.SOFT_ALIGNMENT, None])
     def test_non_per_frame_kind_rejected(self, kind):
         model = small_model(4)
@@ -396,6 +410,45 @@ class TestTrain:
         assert against_real.cosine_similarity != against_rolls.cosine_similarity
         expected = against_real if variant is LabelVariant.OVERTONE else against_rolls
         assert history[-1].report == expected
+
+    @pytest.mark.parametrize("loss, batch", [
+        (LossKind.SOFT_ALIGNMENT, 1), (LossKind.SOFT_ALIGNMENT, 2), (LossKind.PER_FRAME_L2, 1),
+    ])
+    def test_overtone_targets_are_one_read_only_copy_shared_with_evaluation(
+        self, mini_data, monkeypatch, loss, batch
+    ):
+        from softalign import training
+
+        seen_targets, seen_refs = [], []
+
+        def soft(model, input, target, *args):
+            seen_targets.extend(target)
+            return softdtw_loss_and_grads(model, input, target, *args)
+
+        def per_frame(model, input, target, *args):
+            seen_targets.append(target)
+            return per_frame_baseline_loss(model, input, target, *args)
+
+        def recorded_evaluate(pred, ref, *args):
+            seen_refs.append(ref)
+            return evaluate(pred, ref, *args)
+
+        monkeypatch.setattr(training, "softdtw_loss_and_grads", soft)
+        monkeypatch.setattr(training, "per_frame_baseline_loss", per_frame)
+        monkeypatch.setattr(training, "evaluate", recorded_evaluate)
+        cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=2, variant=LabelVariant.OVERTONE,
+                          loss_kind=loss, batch_excerpts=batch)
+        train(mini_data, cfg)
+        assert len(seen_targets) == 2 * len(mini_data) and len(seen_refs) == 2
+        cosine = seen_refs[0].cosine_frames
+        assert all(ref.cosine_frames is cosine for ref in seen_refs)
+        assert not cosine.flags.writeable
+        assert np.array_equal(cosine, np.concatenate([apply_overtones(e.strong_target).frames
+                                                      for e in mini_data]))
+        for target, e in zip(seen_targets, mini_data * 2):
+            assert np.shares_memory(target.frames, cosine)
+            assert not target.frames.flags.writeable
+            assert np.array_equal(target.frames, apply_overtones(e.strong_target).frames)
 
     @pytest.mark.parametrize("variant, loss", [
         (LabelVariant.STRONG, LossKind.PER_FRAME_CE),
