@@ -32,12 +32,16 @@ such a stack in one of two alignments. For the forward pass items sit in
 the start corner, padded on the bottom and right: a cell reads only its
 up, left and diagonal predecessors, so each item's D is exact. For the
 backward pass items sit in the end corner, so the turned sweep starts at
-each item's own (n_b-1, m_b-1); transition weights that leave a padding
-cell are set to exactly 0, which keeps E at 0 there instead of letting it
-grow without bound. `_costs_and_gradients` pairs the two passes for every
-caller. It consumes the list of lattices it is given, as the backward pass
-consumes D: the list is emptied once the end-aligned cost stack is built,
-so the backward pass does not run beside a second copy of a batch's costs.
+each item's own (n_b-1, m_b-1). Its transition weights are built one
+item at a time over the item's band, its own n_b rows of the stack, so
+their temporary is one band, not one stack. Weights that leave a padding
+cell weigh exactly 0, which keeps E at 0 there instead of letting it grow
+without bound: those above a band are never written, and only the band's
+padding columns are set to 0. `_costs_and_gradients` pairs the two passes
+for every caller. It consumes the list of lattices it is given, as the
+backward pass consumes D: the list is emptied once the end-aligned cost
+stack is built, so the backward pass does not run beside a second copy of
+a batch's costs.
 A single lattice is a batch of one, which is never stacked: the sweep
 works on flat views with the cell position first, (N*M,) for one lattice
 and (N*M, B) for a stack, so one body with plain slices serves both.
@@ -211,28 +215,30 @@ def _backward_fill(
     # successor's update. The exponent is clamped to <= 0 so each weight
     # lies in [0, 1]: float jitter on the forced border chains at small gamma
     # can make it positive, and on large costs at tiny gamma large enough to
-    # overflow exp. Each array is built over the flat lattice, where the
-    # successor lies `step` cells on; steps off the lattice wrap into the
-    # next row there and are never read. The pass never writes `c` but
-    # consumes `d`: wd, built last, goes over D, as each exponent is complete
-    # in its one temporary before exp writes it out; E goes over wv.
+    # overflow exp. The weights are built one item at a time over its band,
+    # its own rows of the end-aligned stack (all of a single lattice). A
+    # band is contiguous, so the successor lies `step` cells on in its flat
+    # view; steps off the band wrap into the next row or end there and are
+    # never read. Weights leaving padding cells must be exactly 0, or E
+    # would grow there like the path counts and overflow on wide padding:
+    # rows above a band are never written (zeros, in D as `_pack` made
+    # them), and the band's padding columns are set to 0. The pass never
+    # writes `c` but consumes `d`: an item's wd, built last, goes over its
+    # D, as each exponent is complete in its one band-sized temporary before
+    # exp writes it out; E goes over wv.
     n, m = c.shape[-2:]
     wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), d
-    dflat, cflat = _flat(d), _flat(c)
-    for w, step in ((wv, m), (wh, 1), (wd, m + 1)):
-        x = dflat[step:] - cflat[step:]
-        x -= dflat[:-step]
-        x /= g
-        np.exp(np.minimum(x, 0.0, out=x), out=_flat(w)[:-step])
-        del x
-    if c.ndim == 3:
-        # Steps leaving the padding above or left of an item weigh exactly 0,
-        # so E stays 0 there: with the weights of zero costs it would grow
-        # like the path counts and overflow on wide padding.
-        for w in (wv, wh, wd):
-            for item, (rows, cols) in zip(w, shapes):
-                item[: n - rows] = 0.0
-                item[:, : m - cols] = 0.0
+    stacks = [a.reshape(-1, n, m) for a in (c, d, wv, wh, wd)]
+    for b, (rows, cols) in enumerate(shapes if c.ndim == 3 else [(n, m)]):
+        cb, db, *ws = (a[b, n - rows :].reshape(-1) for a in stacks)
+        for w, step in zip(ws, (m, 1, m + 1)):
+            x = db[step:] - cb[step:]
+            x -= db[:-step]
+            x /= g
+            np.exp(np.minimum(x, 0.0, out=x), out=w[:-step])
+            del x
+            if cols < m:
+                w.reshape(rows, m)[:, : m - cols] = 0.0
 
     # Last row and column: the single forced chain into the end corner.
     # E overwrites wv: the chains read wv's last column before writing it,

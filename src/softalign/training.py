@@ -94,16 +94,21 @@ class LossNormalizer:
 
     The reference freezes after first use, so the first normalized loss is
     exactly 1 and the value range stays comparable across configurations.
-    A first loss <= 0 (an already-perfect model, or a soft-DTW loss that is
-    negative at large gamma) sets the reference to 1, leaving every loss
-    unnormalized.
+    A first loss that is not finite and positive (a perfect model, or a
+    soft-DTW loss negative at large gamma) sets the reference to 1, leaving
+    every loss unnormalized. A given reference must be finite and positive.
     """
 
     reference: float | None = None
 
+    def __post_init__(self) -> None:
+        ref = self.reference
+        if ref is not None and not (math.isfinite(ref) and ref > 0.0):
+            raise ValueError(f"reference must be a finite positive number, got {ref!r}")
+
     def normalize(self, raw_loss: float) -> float:
         if self.reference is None:
-            self.reference = raw_loss if raw_loss > 0.0 else 1.0
+            self.reference = raw_loss if 0.0 < raw_loss < math.inf else 1.0
         return raw_loss / self.reference
 
 

@@ -525,6 +525,9 @@ class TestBatchedSweep:
         st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=5),
         st.sampled_from([1e-8, 1e-3, 1.0, 10.0, 20.0]),
     )
+    @example("random", 5, [(12, 5), (7, 9)], 1.0)  # full stack height, not width
+    @example("random", 6, [(6, 12), (10, 3)], 1.0)  # full stack width, not height
+    @example("ties", 7, [(1, 7), (7, 1), (12, 12)], 10.0)  # 1xk and kx1 bands
     def test_matches_per_item_sweeps(self, kind, seed, shapes, gamma):
         # Also the one cost-and-gradient path, on the same batches.
         from softalign.alignment import _backward_fill, _costs_and_gradients, _forward_fill
@@ -532,7 +535,7 @@ class TestBatchedSweep:
         costs = [_hard_case_costs(kind, seed + b, n, m) for b, (n, m) in enumerate(shapes)]
         before = [c.tobytes() for c in costs]
         with np.errstate(over="raise", invalid="raise"):
-            ds, es, _ = _batched_sweeps(costs, gamma)
+            ds, es, stack = _batched_sweeps(costs, gamma)
             totals, occupancies = _costs_and_gradients(list(costs), gamma)  # it empties its list
             for c, d, e, total, occupancy in zip(costs, ds, es, totals, occupancies, strict=True):
                 single_d = _forward_fill(c, gamma)
@@ -541,6 +544,9 @@ class TestBatchedSweep:
                 assert total == softdtw_forward(c, gamma).cost
                 assert np.array_equal(occupancy, softdtw_gradient(c, gamma))
         assert [c.tobytes() for c in costs] == before
+        # The occupancy of every padding cell, above or left of an item, is 0.
+        items = _stacked([np.ones(c.shape) for c in costs], at_end=True)
+        assert np.all(stack[items == 0.0] == 0.0)
 
     def test_batch_of_one_sweeps_the_callers_array(self, monkeypatch):
         from softalign import alignment
@@ -557,17 +563,19 @@ class TestBatchedSweep:
         assert len(seen) == 1 and seen[0] is c
         assert e.shape == c.shape
 
-    def test_batch_peak_is_five_stacks_less_its_emptied_list(self):
+    def test_batch_peak_is_four_stacks_and_a_band_less_its_emptied_list(self):
         # At the peak: the end-aligned costs, D (which takes the diagonal
         # weights), the vertical weights (which take E), the horizontal
-        # weights and one temporary. The list's own lattices are freed by
-        # then, so they come off the peak.
+        # weights and one temporary over the rows of one item, at most the
+        # tallest item's band. The list's own lattices are freed by then, so
+        # they come off the peak.
         from softalign.alignment import _costs_and_gradients
 
         rng = np.random.default_rng(3)
         shapes = [(128, 128), (120, 128), (128, 112), (112, 120)]
         _costs_and_gradients([rng.random(shape) for shape in shapes], 1.0)  # caches the schedule
         stack = len(shapes) * 128 * 128 * 8
+        band = max(rows for rows, _ in shapes) * 128 * 8
         tracemalloc.start()
         try:
             costs = [rng.random(shape) for shape in shapes]
@@ -579,7 +587,7 @@ class TestBatchedSweep:
             tracemalloc.stop()
         assert costs == []
         assert [e.shape for e in occupancies] == shapes
-        assert peak <= 5 * stack - items + 64 * 1024
+        assert peak <= 4 * stack + band - items + 64 * 1024
 
     def test_wide_padding_stays_zero(self):
         # A 1x1 item shares a stack with a 60x60 one: it is padded by 3,599

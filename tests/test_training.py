@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ class TestLossNormalizer:
         assert negative.normalize(-2.5) == -2.5
         assert negative.normalize(3.0) == 3.0
         assert negative.reference == 1.0
+
+    def test_infinite_first_loss_leaves_values_unscaled(self):
+        # A reference of inf would turn every later loss and gradient into 0.
+        norm = LossNormalizer()
+        assert norm.normalize(math.inf) == math.inf
+        assert norm.normalize(3.0) == 3.0
+
+    @pytest.mark.parametrize("reference", [0.0, -1.0, math.nan, math.inf])
+    def test_given_reference_must_be_finite_and_positive(self, reference):
+        with pytest.raises(ValueError, match="reference"):
+            LossNormalizer(reference=reference)
 
 
 class TestSoftdtwLossAndGrads:
