@@ -21,7 +21,9 @@ package, so `setup_s` grows with the source. Before the benchmark runs, one
 run of the Tier-1 test command (`PYTHONPATH=src python -m pytest -q
 --continue-on-collection-errors`) is timed and stored as `tier1_wall_s`;
 a failing suite stops the record. `src_lines` is the line count of
-`src/**/*.py` in the measured root, as `wc -l` counts it.
+`src/**/*.py` in the measured root, as `wc -l` counts it; `src_code_lines`
+counts only the lines of those files that hold a token other than a comment
+or a docstring (the first string statement of a module, class or function).
 
 `--seconds 0 --seeds 1` is a smoke run of about a minute and a half.
 """
@@ -29,18 +31,24 @@ a failing suite stops the record. `src_lines` is the line count of
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 # Fixed before any run, so records of different trees share their seeds.
 SEEDS = (301, 302, 303, 304, 305)
 END_TO_END = ("work_per_s", "peak_alloc_mb", "setup_s")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# Token types that hold no code of their own: comments, line structure, markers.
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
 # Prints the digest of one timed round's outputs: argv is the workload name and seed.
 DIGEST = """
 import sys
@@ -97,6 +105,28 @@ def tier1_wall(root: Path) -> float:
 def src_lines(root: Path) -> int:
     """Newline count of every `.py` file under `root`/src."""
     return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+
+
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold a token other than a comment or a docstring."""
+    docstrings = [
+        ((doc.lineno, doc.col_offset), (doc.end_lineno, doc.end_col_offset))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+        for doc in node.body[:1]
+    ]
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in NOT_CODE or any(a <= tok.start and tok.end <= b for a, b in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))  # a string token spans its lines
+    return len(lines)
+
+
+def src_code_lines(root: Path) -> int:
+    """`code_lines` summed over every `.py` file under `root`/src."""
+    return sum(code_lines(path.read_text()) for path in (root / "src").rglob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -156,6 +186,7 @@ def main(argv=None) -> int:
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "tier1_wall_s": tier1_wall_s,
         "src_lines": src_lines(args.root),
+        "src_code_lines": src_code_lines(args.root),
         "env": env,
         "workloads": workloads,
     }

@@ -21,7 +21,6 @@ from .alignment import (
     brute_force_softdtw,
     classical_dtw,
     path_count,
-    soft_min,
     softdtw_forward,
     softdtw_gradient,
 )

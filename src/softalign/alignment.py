@@ -79,30 +79,6 @@ def _check_gamma(gamma: float) -> float:
     return g
 
 
-def soft_min(values, gamma: float) -> float:
-    """Smooth lower bound of min(values): -gamma * log(sum(exp(-v / gamma))).
-
-    Evaluated in shifted form (minimum subtracted before exponentiation) so
-    it is overflow-safe down to very small gamma. A result beyond float64
-    raises ValueError, whatever the warning filter.
-    """
-    g = _check_gamma(gamma)
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("soft_min of an empty set is undefined")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("soft_min requires finite values")
-    lo = arr.min()
-    with np.errstate(over="ignore"):  # an exponent past -max is exp(-inf) = 0, exactly
-        out = lo - g * np.log(np.sum(np.exp((lo - arr) / g)))
-        if g > 1.0 and (np.isinf(out) or np.isinf(lo - arr.max())):  # redo in units of g
-            # min: rounding of (lo / g) * g must not lift the result above lo
-            out = min(lo, g * (lo / g - np.log(np.sum(np.exp(lo / g - arr / g)))))
-    if not np.isfinite(out):
-        raise ValueError(f"soft_min overflows float64 (minimum {float(lo)!r}, gamma {g!r})")
-    return float(out)
-
-
 def _border_fill(c: np.ndarray) -> np.ndarray:
     # First row and column: the single path along each border.
     d = np.empty_like(c)

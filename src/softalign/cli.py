@@ -44,6 +44,7 @@ from .training import (
 )
 
 ORACLE_CHECK_PATH_LIMIT = 10**5
+FD_STEP = 1e-5
 
 
 class SequenceFileError(ValueError):
@@ -103,18 +104,18 @@ def norm_rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(candidate - reference).max() / denom)
 
 
-def finite_difference_gradient(costs: np.ndarray, gamma: float, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the forward cost over every cell."""
+def finite_difference_gradient(costs: np.ndarray, gamma: float) -> np.ndarray:
+    """Central finite differences of the forward cost over every cell, step FD_STEP."""
     c = np.array(costs, dtype=np.float64)
     grad = np.empty_like(c)
     for idx in np.ndindex(c.shape):
         keep = c[idx]
-        c[idx] = keep + h
+        c[idx] = keep + FD_STEP
         hi = softdtw_forward(c, gamma).cost
-        c[idx] = keep - h
+        c[idx] = keep - FD_STEP
         lo = softdtw_forward(c, gamma).cost
         c[idx] = keep
-        grad[idx] = (hi - lo) / (2.0 * h)
+        grad[idx] = (hi - lo) / (2.0 * FD_STEP)
     return grad
 
 

@@ -101,10 +101,10 @@ class LossNormalizer:
 
     reference: float | None = None
 
-    def __post_init__(self) -> None:
-        ref = self.reference
-        if ref is not None and not (math.isfinite(ref) and ref > 0.0):
-            raise ValueError(f"reference must be a finite positive number, got {ref!r}")
+    def __setattr__(self, name: str, value) -> None:  # construction assigns through it too
+        if name == "reference" and value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"reference must be a finite positive number, got {value!r}")
+        super().__setattr__(name, value)
 
     def normalize(self, raw_loss: float) -> float:
         if self.reference is None:

@@ -24,7 +24,6 @@ from softalign import (
     classical_dtw,
     path_count,
     sequence_from_rows,
-    soft_min,
     softdtw_forward,
     softdtw_gradient,
     softdtw_loss_and_grads,
@@ -105,7 +104,7 @@ class TestCriterion2GradientVsFiniteDifferences:
         worst = 0.0
         for gamma in GAMMAS:
             for c in fd_matrices():
-                fd = finite_difference_gradient(c, gamma, h=1e-5)
+                fd = finite_difference_gradient(c, gamma)
                 worst = max(worst, norm_rel_err(softdtw_gradient(c, gamma), fd))
         elapsed = time.perf_counter() - t0
         report(
@@ -129,19 +128,19 @@ class TestCriterion3LimitBehavior:
                 worst_excess = max(worst_excess, gap - gamma * ln_paths)
                 if gamma == 1e-3:
                     worst_tiny_gap = max(worst_tiny_gap, abs(gap))
-        sets_ok = True
-        set_rng = np.random.default_rng(32)
+        bound_ok = True
+        lattice_rng = np.random.default_rng(32)
         for _ in range(10**4):
-            vals = set_rng.normal(0.0, 100.0, size=int(set_rng.integers(1, 11)))
-            gamma = float(set_rng.uniform(1e-3, 30.0))
-            if soft_min(vals, gamma) > vals.min():
-                sets_ok = False
+            c = lattice_rng.normal(0.0, 100.0, size=lattice_rng.integers(1, 11, size=2))
+            gamma = float(lattice_rng.uniform(1e-3, 30.0))
+            if softdtw_forward(c, gamma).cost > classical_dtw(c)[0]:
+                bound_ok = False
                 break
         report(
             3,
-            worst_excess <= 1e-9 and worst_tiny_gap < 1e-2 and sets_ok,
+            worst_excess <= 1e-9 and worst_tiny_gap < 1e-2 and bound_ok,
             f"gap-bound excess {worst_excess:.2e} <= 0, gap(1e-3)={worst_tiny_gap:.2e} < 1e-2, "
-            f"lower bound held on 10^4 sets: {sets_ok}",
+            f"soft <= hard DTW on 10^4 lattices: {bound_ok}",
         )
 
 

@@ -152,6 +152,11 @@ class TestLossNormalizer:
     def test_given_reference_must_be_finite_and_positive(self, reference):
         with pytest.raises(ValueError, match="reference"):
             LossNormalizer(reference=reference)
+        norm = LossNormalizer(reference=2.0)
+        with pytest.raises(ValueError, match="reference"):
+            norm.reference = reference
+        assert norm.reference == 2.0
+        assert norm.normalize(1.0) == 0.5
 
 
 class TestSoftdtwLossAndGrads:
