@@ -129,10 +129,19 @@ class TestForward:
                 hard, _ = classical_dtw(c)
                 assert hard - gamma * math.log(path_count(6, 5)) - 1e-12 <= soft <= hard + 1e-12
 
-    def test_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(NonFiniteCostError):
-                softdtw_forward([[1.0, bad]], 1.0)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteCostError):
+            softdtw_forward([[1.0, bad]], 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_rejects_empty_lattice(self, shape):
+        with pytest.raises(ValueError, match="positive shape"):
+            softdtw_forward(np.zeros(shape), 1.0)
+
+    @given(st.floats(min_value=-1e300, max_value=1e300), st.floats(1e-3, 1e3))
+    def test_single_cell_is_exact_for_any_gamma(self, value, gamma):
+        assert softdtw_forward([[value]], gamma).cost == value
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_gamma_that_is_not_finite_and_positive(self, gamma):
@@ -144,6 +153,34 @@ class TestForward:
         # Three paths of cost 0: the one interior softmin sees three equal terms.
         assert softdtw_forward(np.zeros((2, 2)), gamma).cost == pytest.approx(-gamma * math.log(3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (4, 6), (6, 6)])
+    def test_zero_lattice_costs_minus_gamma_ln_path_count(self, shape):
+        # Every path costs 0, so the soft cost is -gamma * ln(number of paths).
+        for gamma in (1e-3, 1.0, 10.0):
+            want = -gamma * math.log(path_count(*shape))
+            assert softdtw_forward(np.zeros(shape), gamma).cost == pytest.approx(want, rel=1e-13)
+
+    @given(small_lattices, st.floats(1e-3, 30.0))
+    def test_never_exceeds_classical_dtw(self, c, gamma):
+        # Exact: each softmin subtracts gamma * ln(s) with s >= 1, and rounding is monotone.
+        assert softdtw_forward(c, gamma).cost <= classical_dtw(c)[0]
+
+    @given(small_lattices, st.floats(1e-3, 30.0))
+    def test_gap_to_classical_dtw_bounded_by_gamma_ln_path_count(self, c, gamma):
+        gap = classical_dtw(c)[0] - softdtw_forward(c, gamma).cost
+        tol = 1e-12 + 1e-14 * (1.0 + np.abs(c).sum())  # cancellation at large magnitudes
+        assert 0.0 <= gap <= gamma * math.log(path_count(*c.shape)) + tol
+
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=st.floats(-1e3, 1e3)),
+        st.floats(1e-3, 30.0),
+    )
+    def test_matches_path_enumeration(self, c, gamma):
+        oracle, _ = brute_force_softdtw(c, gamma)
+        tol = 1e-12 * (1.0 + np.abs(c).sum())
+        assert softdtw_forward(c, gamma).cost == pytest.approx(oracle, rel=1e-12, abs=tol)
+
     @given(small_lattices)
     def test_nonincreasing_in_gamma(self, c):
         previous = softdtw_forward(c, 1e-3).cost
@@ -154,6 +191,10 @@ class TestForward:
 
     def test_single_row_is_plain_sum(self):
         c = np.array([[1.0, 2.0, 4.0, 8.0]])
+        assert softdtw_forward(c, 0.1).cost == c.sum()
+
+    def test_single_column_is_plain_sum(self):
+        c = np.array([[1.0], [-2.0], [4.0], [8.0]])
         assert softdtw_forward(c, 0.1).cost == c.sum()
 
     def test_deterministic(self):
