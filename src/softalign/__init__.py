@@ -13,7 +13,6 @@ from .core import (
     PianoRoll,
     RaggedRowsError,
     WrongWidthError,
-    sequence_from_rows,
 )
 from .alignment import (
     SoftDtwResult,

@@ -127,15 +127,10 @@ def _pack(items: list[np.ndarray], at_end: bool = False) -> np.ndarray:
     """
     if len(items) == 1:
         return items[0]
-    n = max(a.shape[0] for a in items)
-    m = max(a.shape[1] for a in items)
-    stack = np.zeros((len(items), n, m))
-    for out, a in zip(stack, items):
-        rows, cols = a.shape
-        if at_end:
-            out[n - rows :, m - cols :] = a
-        else:
-            out[:rows, :cols] = a
+    shapes = [a.shape for a in items]
+    stack = np.zeros((len(items), *map(max, zip(*shapes))))
+    for out, a in zip(_unpack(stack, shapes, at_end), items):
+        out[...] = a
     return stack
 
 
@@ -180,10 +175,8 @@ def softdtw_forward(costs, gamma: float) -> SoftDtwResult:
     return SoftDtwResult(cost=float(d[-1, -1]), accumulated=d)
 
 
-def _backward_fill(
-    c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[int, int]] | None = None
-) -> np.ndarray:
-    # c and d are one (N, M) lattice, or an end-aligned stack from `_pack`
+def _backward_fill(c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[int, int]]) -> np.ndarray:
+    # c and d are one (N, M) lattice, or an end-aligned stack from `_pack`,
     # with items of the given `shapes`. Transition weights are indexed by the
     # cell a step leaves from: wv, wh and wd hold
     # exp((D(succ) - C(succ) - D(cell)) / g) for the step down, right and
@@ -205,7 +198,7 @@ def _backward_fill(
     n, m = c.shape[-2:]
     wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), d
     stacks = [a.reshape(-1, n, m) for a in (c, d, wv, wh, wd)]
-    for b, (rows, cols) in enumerate(shapes if c.ndim == 3 else [(n, m)]):
+    for b, (rows, cols) in enumerate(shapes):
         cb, db, *ws = (a[b, n - rows :].reshape(-1) for a in stacks)
         for w, step in zip(ws, (m, 1, m + 1)):
             x = db[step:] - cb[step:]
@@ -297,8 +290,8 @@ def path_count(n: int, m: int, *, cap: int | None = None) -> int:
     With `cap`, every partial count saturates at `cap`, so large lattices
     never build huge integers and the result is min(count, cap).
     """
-    if n < 1 or m < 1:
-        raise ValueError("path_count requires n, m >= 1")
+    if n < 1 or m < 1 or cap is not None and cap < 1:
+        raise ValueError(f"path_count requires n, m >= 1 and cap >= 1, got {n}, {m}, cap={cap}")
     limit = math.inf if cap is None else cap
     row = [1] * m
     for _ in range(1, n):

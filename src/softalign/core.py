@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PITCH_COUNT = 72
-LOWEST_MIDI_PITCH = 24  # pitch index 0 = C1; index 71 = B6 (MIDI 95)
 
 
 class EmptySequenceError(ValueError):
@@ -112,17 +111,6 @@ class PianoRoll:
     @property
     def dim(self) -> int:
         return PITCH_COUNT
-
-
-def sequence_from_rows(rows) -> FeatureSequence:
-    """Build a FeatureSequence from a list of equal-length real vectors."""
-    rows = list(rows)
-    if len(rows) == 0:
-        raise EmptySequenceError("cannot build a sequence from an empty row list")
-    dims = {len(np.atleast_1d(r)) for r in rows}
-    if len(dims) != 1:
-        raise RaggedRowsError(f"rows have mixed dimensions {sorted(dims)}")
-    return FeatureSequence(np.asarray(rows, dtype=np.float64).reshape(len(rows), -1))
 
 
 def as_cost_matrix(values) -> np.ndarray:

@@ -10,6 +10,7 @@ Inputs are synthetic overtone spectra so the whole suite runs in seconds.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -229,10 +230,12 @@ def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> No
         raise ConfigError("learning_rate must be positive and finite")
     if not math.isfinite(config.threshold):
         raise ConfigError("threshold must be finite")
-    if config.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if config.batch_excerpts < 1:
-        raise ConfigError("batch_excerpts must be >= 1")
+    for name in ("epochs", "batch_excerpts"):
+        try:
+            if operator.index(getattr(config, name)) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer") from None
     if not 0.0 <= config.momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
     dims = {e.input.dim for e in dataset}

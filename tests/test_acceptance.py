@@ -23,7 +23,6 @@ from softalign import (
     brute_force_softdtw,
     classical_dtw,
     path_count,
-    sequence_from_rows,
     softdtw_forward,
     softdtw_gradient,
     softdtw_loss_and_grads,
@@ -199,7 +198,7 @@ class TestCriterion6EndToEndTrainingGradients:
             d_in = int(rng.integers(3, 7))
             model = LinearModel.initialize(d_in, rng, scale=0.4)
             model.bias = 0.3 * rng.standard_normal(72)
-            x = sequence_from_rows(rng.standard_normal((int(rng.integers(4, 9)), d_in)))
+            x = FeatureSequence(rng.standard_normal((int(rng.integers(4, 9)), d_in)))
             roll = PianoRoll((rng.random((int(rng.integers(2, 7)), 72)) < 0.12).astype(float))
             frozen = LossNormalizer(reference=1.0)
             _, gw, gb = softdtw_loss_and_grads(model, x, roll, gamma, frozen)

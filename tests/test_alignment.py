@@ -90,6 +90,12 @@ class TestPathCount:
         with pytest.raises(ValueError, match="n, m >= 1"):
             path_count(n, m)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("n, m", [(3, 3), (1, 5)])
+    def test_rejects_cap_below_one(self, n, m, cap):
+        with pytest.raises(ValueError, match="cap >= 1"):
+            path_count(n, m, cap=cap)
+
 
 class TestForward:
     def test_single_cell(self):
@@ -420,7 +426,7 @@ class TestBackwardSweep:
         # overflows exp in the reference before its clip to [0, 1] absorbs it.
         with np.errstate(over="ignore"):
             reference = _reference_backward_fill(c, d, gamma)
-        assert np.array_equal(_backward_fill(c, d, gamma), reference)
+        assert np.array_equal(_backward_fill(c, d, gamma, [c.shape]), reference)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_huge_costs_at_tiny_gamma_do_not_overflow(self, seed):
@@ -502,7 +508,7 @@ class TestBatchedSweep:
             for c, d, e, total, occupancy in zip(costs, ds, es, totals, occupancies, strict=True):
                 single_d = _forward_fill(c, gamma)
                 assert np.array_equal(d, single_d)
-                assert np.array_equal(e, _backward_fill(c, single_d, gamma))
+                assert np.array_equal(e, _backward_fill(c, single_d, gamma, [c.shape]))
                 assert total == softdtw_forward(c, gamma).cost
                 assert np.array_equal(occupancy, softdtw_gradient(c, gamma))
         assert [c.tobytes() for c in costs] == before

@@ -16,6 +16,7 @@ from softalign.cli import (
     _load_dataset,
     build_parser,
     main,
+    norm_rel_err,
     read_sequence_file,
     write_sequence_file,
 )
@@ -235,6 +236,10 @@ class TestGradcheckCommand:
         )
         assert code == 2
         assert report_dict(out)["pass"] == "false"
+
+    def test_zero_reference_error_is_absolute(self):
+        assert norm_rel_err(np.array([[0.5, -2.0]]), np.zeros((1, 2))) == 2.0
+        assert norm_rel_err(np.zeros(3), np.zeros(3)) == 0.0
 
 
 class TestDatagenTrainEvalPipeline:

@@ -10,28 +10,19 @@ from softalign import (
     PianoRoll,
     RaggedRowsError,
     WrongWidthError,
-    sequence_from_rows,
 )
 from softalign.core import as_cost_matrix
 
 
-class TestSequenceFromRows:
+class TestFeatureSequence:
     def test_basic_construction(self):
-        seq = sequence_from_rows([[1.0, 2.0], [3.0, 4.0]])
+        seq = FeatureSequence([[1.0, 2.0], [3.0, 4.0]])
         assert len(seq) == 2
         assert seq.dim == 2
 
-    def test_empty_input(self):
-        with pytest.raises(EmptySequenceError):
-            sequence_from_rows([])
-
-    def test_ragged_rows(self):
-        with pytest.raises(RaggedRowsError):
-            sequence_from_rows([[1.0], [2.0, 3.0]])
-
     def test_roundtrip_is_bit_exact(self):
         rows = [[0.1, -2.5e300, 3e-320], [7.0, 1.0 + 2**-52, -0.0]]
-        seq = sequence_from_rows(rows)
+        seq = FeatureSequence(rows)
         assert np.array_equal(seq.frames, np.asarray(rows))
 
     @given(
@@ -42,14 +33,14 @@ class TestSequenceFromRows:
         )
     )
     def test_roundtrip_property(self, rows):
-        seq = sequence_from_rows(rows)
+        seq = FeatureSequence(rows)
         assert seq.frames.shape == (len(rows), 3)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 assert seq.frames[i, j] == v or (np.isnan(v) and np.isnan(seq.frames[i, j]))
 
     def test_frames_are_read_only(self):
-        seq = sequence_from_rows([[1.0, 2.0]])
+        seq = FeatureSequence([[1.0, 2.0]])
         with pytest.raises(ValueError):
             seq.frames[0, 0] = 9.0
 

@@ -1,3 +1,4 @@
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from softalign import (
     CostKind,
     DimensionMismatchError,
+    FeatureSequence,
     build_cost_matrix,
-    sequence_from_rows,
 )
 from softalign import cost
 
@@ -21,12 +22,12 @@ SQ = CostKind.SQUARED_EUCLIDEAN
 @pytest.mark.parametrize("fn", ["squared_euclidean", None])
 def test_non_member_cost_kind_rejected(fn):
     with pytest.raises(ValueError, match="unknown cost kind"):
-        build_cost_matrix(fn, sequence_from_rows([[1.0]]), sequence_from_rows([[2.0]]))
+        build_cost_matrix(fn, FeatureSequence([[1.0]]), FeatureSequence([[2.0]]))
 
 
 def _one_frame_cost(a, b):
     """The cost of aligning frame a with frame b, as a 1 x 1 matrix build."""
-    return build_cost_matrix(SQ, sequence_from_rows([a]), sequence_from_rows([b]))[0, 0]
+    return build_cost_matrix(SQ, FeatureSequence([a]), FeatureSequence([b]))[0, 0]
 
 
 class TestLocalCost:
@@ -56,7 +57,7 @@ class TestLocalCost:
 
 class TestBuildCostMatrix:
     def test_single_frame_zero(self):
-        x = sequence_from_rows([[1.0, 2.0]])
+        x = FeatureSequence([[1.0, 2.0]])
         mat = build_cost_matrix(SQ, x, x)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == 0.0
@@ -65,20 +66,20 @@ class TestBuildCostMatrix:
         rng = np.random.default_rng(3)
         xf = rng.standard_normal((2, 5))
         yf = rng.standard_normal((3, 5))
-        mat = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+        mat = build_cost_matrix(SQ, FeatureSequence(xf), FeatureSequence(yf))
         assert np.array_equal(mat, _per_row_cost_matrix(xf, yf))
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1))
     def test_transpose_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        x = sequence_from_rows(rng.standard_normal((5, 72)))
-        y = sequence_from_rows(rng.standard_normal((4, 72)))
+        x = FeatureSequence(rng.standard_normal((5, 72)))
+        y = FeatureSequence(rng.standard_normal((4, 72)))
         assert np.array_equal(build_cost_matrix(SQ, x, y), build_cost_matrix(SQ, y, x).T)
 
     def test_dimension_mismatch(self):
-        x = sequence_from_rows([[1.0, 2.0]])
-        y = sequence_from_rows([[1.0, 2.0, 3.0]])
+        x = FeatureSequence([[1.0, 2.0]])
+        y = FeatureSequence([[1.0, 2.0, 3.0]])
         with pytest.raises(DimensionMismatchError):
             build_cost_matrix(SQ, x, y)
 
@@ -125,7 +126,7 @@ def _assert_matches_per_row(n, m, dim, seed=0):
     rng = np.random.default_rng(seed)
     xf = rng.standard_normal((n, dim))
     yf = rng.standard_normal((m, dim))
-    got = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+    got = build_cost_matrix(SQ, FeatureSequence(xf), FeatureSequence(yf))
     assert np.array_equal(got, _per_row_cost_matrix(xf, yf))
 
 
@@ -169,7 +170,7 @@ class TestBlockedBuild:
         yf = rng.standard_normal((m, 72))
         if roll:  # binary frames held for runs of steps, as a piano roll holds them
             yf = (yf > 1.0)[np.sort(rng.integers(0, m, m))].astype(float)
-        c = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+        c = build_cost_matrix(SQ, FeatureSequence(xf), FeatureSequence(yf))
         for gamma in (1e-3, 1.0, 20.0):
             assert np.array_equal(
                 _forward_fill(c, gamma), _reference_forward_fill(_per_row_cost_matrix(xf, yf), gamma)
@@ -208,7 +209,7 @@ class TestBandedBuild:
                 raise MemoryError("band failed")
             fill_rows(xf, yf, out)
 
-        x = sequence_from_rows(np.ones((6, 4)))
+        x = FeatureSequence(np.ones((6, 4)))
         with _workers(3) as mp:
             mp.setattr(cost, "_fill_rows", failing_off_the_caller)
             with pytest.raises(MemoryError, match="band failed"):
@@ -225,13 +226,20 @@ class TestBandedBuild:
         # calling thread works one band, so a pool of w - 1 threads means w bands.
         # Targets have distinct rows, so every column is built; the all-zero
         # target is one run, one column, and starts no pool.
-        x = sequence_from_rows(np.zeros((8, 9)))
+        x = FeatureSequence(np.zeros((8, 9)))
         targets = [np.arange(m * 9.0).reshape(m, 9) for m in (1, 5, 6, 11, 12, 40)]
         with _workers(4, band=8 * 3 * 9) as mp:
             mp.setattr(cost, "ThreadPoolExecutor", pool)
             for yf in targets + [np.zeros((40, 9))]:
-                build_cost_matrix(SQ, x, sequence_from_rows(yf))
+                build_cost_matrix(SQ, x, FeatureSequence(yf))
         assert pools == [1, 2, 3, 3]
+
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cost._cpu_count() == (os.cpu_count() or 1)
+        # Builds banded over that many CPUs keep the per-row bits.
+        monkeypatch.setattr(cost, "_BAND_ELEMENTS", 1)
+        _assert_matches_per_row(9, 31, 72)
 
 
 @st.composite
@@ -269,7 +277,7 @@ class TestRunBuild:
         yf = _held_frames(runs, kind, dim, rng)
         xf = _held_frames([1] * n, kind, dim, rng)
         with _workers(k):
-            got = build_cost_matrix(SQ, sequence_from_rows(xf), sequence_from_rows(yf))
+            got = build_cost_matrix(SQ, FeatureSequence(xf), FeatureSequence(yf))
         assert got.flags.c_contiguous
         assert np.array_equal(got, _per_row_cost_matrix(xf, yf))
 
@@ -285,5 +293,5 @@ class TestRunBuild:
         yf = np.repeat(np.eye(len(runs), 72), runs, axis=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cost, "_fill_rows", recording)
-            build_cost_matrix(SQ, sequence_from_rows(np.ones((5, 72))), sequence_from_rows(yf))
+            build_cost_matrix(SQ, FeatureSequence(np.ones((5, 72))), FeatureSequence(yf))
         assert widths == [width]

@@ -27,7 +27,6 @@ from softalign import (
     model_forward,
     per_frame_baseline_loss,
     prepare_reference,
-    sequence_from_rows,
     softdtw_loss_and_grads,
     toy_config,
     toy_dataset,
@@ -47,24 +46,24 @@ def small_model(d_in, seed=0):
 class TestModelForward:
     def test_zero_parameters_give_half(self):
         model = LinearModel(weight=np.zeros((72, 5)), bias=np.zeros(72))
-        out = model_forward(model, sequence_from_rows(np.random.default_rng(0).random((3, 5))))
+        out = model_forward(model, FeatureSequence(np.random.default_rng(0).random((3, 5))))
         assert np.all(out.frames == 0.5)
 
     def test_large_bias_saturates_one_bin(self):
         model = LinearModel(weight=np.zeros((72, 4)), bias=np.zeros(72))
         model.bias[10] = 30.0
-        out = model_forward(model, sequence_from_rows(np.random.default_rng(1).random((5, 4))))
+        out = model_forward(model, FeatureSequence(np.random.default_rng(1).random((5, 4))))
         assert np.all(out.frames[:, 10] > 1.0 - 1e-12)
 
     def test_shape_and_range(self):
         rng = np.random.default_rng(2)
         model = small_model(6)
-        out = model_forward(model, sequence_from_rows(rng.standard_normal((7, 6))))
+        out = model_forward(model, FeatureSequence(rng.standard_normal((7, 6))))
         assert out.frames.shape == (7, 72)
         assert np.all((out.frames > 0.0) & (out.frames < 1.0))
 
     def test_output_is_read_only(self):
-        out = model_forward(small_model(3), sequence_from_rows(np.ones((2, 3))))
+        out = model_forward(small_model(3), FeatureSequence(np.ones((2, 3))))
         assert not out.frames.flags.writeable
 
     @pytest.mark.parametrize("dims", [[3], [5, 3]])
@@ -72,7 +71,7 @@ class TestModelForward:
         # a 5-input model; the last input has 3 dimensions
         model = small_model(5)
         data = [
-            SyntheticExcerpt(input=sequence_from_rows(np.zeros((2, d))),
+            SyntheticExcerpt(input=FeatureSequence(np.zeros((2, d))),
                              strong_target=PianoRoll(np.zeros((2, 72))),
                              score_target=PianoRoll(np.zeros((1, 72))))
             for d in dims
@@ -163,7 +162,7 @@ class TestSoftdtwLossAndGrads:
     def test_first_batch_loss_exactly_one(self):
         rng = np.random.default_rng(3)
         model = small_model(5)
-        x = sequence_from_rows(rng.standard_normal((6, 5)))
+        x = FeatureSequence(rng.standard_normal((6, 5)))
         roll = PianoRoll((rng.random((4, 72)) < 0.1).astype(float))
         loss, _, _ = softdtw_loss_and_grads(model, x, roll, 10.0, LossNormalizer())
         assert loss == 1.0
@@ -173,7 +172,7 @@ class TestSoftdtwLossAndGrads:
         # at moderate gamma the soft aggregate dips below zero by construction
         rng = np.random.default_rng(4)
         model = small_model(5)
-        x = sequence_from_rows(rng.standard_normal((6, 5)))
+        x = FeatureSequence(rng.standard_normal((6, 5)))
         target = model_forward(model, x)
         loss, gw, gb = softdtw_loss_and_grads(model, x, target, 1e-9, LossNormalizer())
         assert loss == pytest.approx(0.0, abs=1e-6)
@@ -189,7 +188,7 @@ class TestSoftdtwLossAndGrads:
         rng = np.random.default_rng(5)
         d_in = 5
         model = small_model(d_in, seed=6)
-        x = sequence_from_rows(rng.standard_normal((6, d_in)))
+        x = FeatureSequence(rng.standard_normal((6, d_in)))
         roll = PianoRoll((rng.random((4, 72)) < 0.12).astype(float))
         frozen = LossNormalizer(reference=1.0)  # compare raw loss to raw grads
         _, gw, gb = softdtw_loss_and_grads(model, x, roll, gamma, frozen)
@@ -228,7 +227,7 @@ class TestSoftdtwLossAndGrads:
         # padded stack; train() adds the single-excerpt results in this order.
         rng = np.random.default_rng(10)
         model = small_model(5, seed=8)
-        inputs = [sequence_from_rows(rng.standard_normal((n, 5))) for n in (9, 7, 12, 7)]
+        inputs = [FeatureSequence(rng.standard_normal((n, 5))) for n in (9, 7, 12, 7)]
         rolls = [PianoRoll((rng.random((n, 72)) < 0.1).astype(float)) for n in (3, 9, 5, 8)]
         targets = rolls[:3] + [model_forward(small_model(5, seed=9), inputs[3])]
         loss, gw, gb = softdtw_loss_and_grads(model, inputs, targets, gamma, LossNormalizer(reference=1.0))
@@ -249,7 +248,7 @@ class TestSoftdtwLossAndGrads:
     def test_batch_of_one_equals_single_call(self):
         rng = np.random.default_rng(10)
         model = small_model(5)
-        x = sequence_from_rows(rng.standard_normal((6, 5)))
+        x = FeatureSequence(rng.standard_normal((6, 5)))
         roll = PianoRoll((rng.random((4, 72)) < 0.1).astype(float))
         single = softdtw_loss_and_grads(model, x, roll, 10.0, LossNormalizer())
         batch = softdtw_loss_and_grads(model, [x], [roll], 10.0, LossNormalizer())
@@ -258,7 +257,7 @@ class TestSoftdtwLossAndGrads:
 
     def test_batch_length_mismatch_rejected(self):
         rng = np.random.default_rng(11)
-        x = sequence_from_rows(rng.standard_normal((6, 5)))
+        x = FeatureSequence(rng.standard_normal((6, 5)))
         roll = PianoRoll((rng.random((4, 72)) < 0.1).astype(float))
         with pytest.raises(ValueError):
             softdtw_loss_and_grads(small_model(5), [x, x], [roll], 10.0, LossNormalizer())
@@ -268,7 +267,7 @@ class TestPerFrameBaseline:
     def test_perfect_prediction_l2(self):
         rng = np.random.default_rng(7)
         model = small_model(5)
-        x = sequence_from_rows(rng.standard_normal((4, 5)))
+        x = FeatureSequence(rng.standard_normal((4, 5)))
         target = model_forward(model, x)
         loss, gw, gb = per_frame_baseline_loss(model, x, target, LossKind.PER_FRAME_L2)
         assert loss == 0.0
@@ -276,7 +275,7 @@ class TestPerFrameBaseline:
 
     def test_half_prediction_cross_entropy_is_ln2(self):
         model = LinearModel(weight=np.zeros((72, 3)), bias=np.zeros(72))
-        x = sequence_from_rows(np.zeros((5, 3)))
+        x = FeatureSequence(np.zeros((5, 3)))
         roll = PianoRoll((np.random.default_rng(8).random((5, 72)) < 0.3).astype(float))
         loss, _, _ = per_frame_baseline_loss(model, x, roll, LossKind.PER_FRAME_CE)
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
@@ -285,7 +284,7 @@ class TestPerFrameBaseline:
     def test_gradients_match_finite_differences(self, kind):
         rng = np.random.default_rng(9)
         model = small_model(4, seed=10)
-        x = sequence_from_rows(rng.standard_normal((5, 4)))
+        x = FeatureSequence(rng.standard_normal((5, 4)))
         roll = PianoRoll((rng.random((5, 72)) < 0.15).astype(float))
         _, gw, gb = per_frame_baseline_loss(model, x, roll, kind)
         h = 1e-5
@@ -302,7 +301,7 @@ class TestPerFrameBaseline:
 
     def test_length_mismatch_rejected(self):
         model = small_model(4)
-        x = sequence_from_rows(np.zeros((5, 4)))
+        x = FeatureSequence(np.zeros((5, 4)))
         roll = PianoRoll(np.zeros((3, 72)))
         with pytest.raises(Exception):
             per_frame_baseline_loss(model, x, roll, LossKind.PER_FRAME_L2)
@@ -312,7 +311,7 @@ class TestPerFrameBaseline:
     def test_target_width_mismatch_rejected(self, kind, width):
         # as the soft-DTW loss does: no broadcast of a narrow target
         model = small_model(5)
-        x = sequence_from_rows(np.random.default_rng(12).standard_normal((4, 5)))
+        x = FeatureSequence(np.random.default_rng(12).standard_normal((4, 5)))
         target = FeatureSequence(np.full((4, width), 0.5))
         with pytest.raises(DimensionMismatchError, match=f"target dimension {width} != output dimension 72"):
             per_frame_baseline_loss(model, x, target, kind)
@@ -320,7 +319,7 @@ class TestPerFrameBaseline:
     @pytest.mark.parametrize("kind", [LossKind.SOFT_ALIGNMENT, None])
     def test_non_per_frame_kind_rejected(self, kind):
         model = small_model(4)
-        x = sequence_from_rows(np.zeros((3, 4)))
+        x = FeatureSequence(np.zeros((3, 4)))
         with pytest.raises(ConfigError, match="does not support loss kind"):
             per_frame_baseline_loss(model, x, PianoRoll(np.zeros((3, 72))), kind)
 
@@ -565,6 +564,8 @@ class TestTrain:
         (dict(threshold=np.inf), None, "threshold must be"),
         (dict(threshold=-np.inf), None, "threshold must be"),
         (dict(batch_excerpts=0), None, "batch_excerpts"),
+        (dict(epochs=2.5), None, "epochs must be an integer"),
+        (dict(batch_excerpts=1.5), None, "batch_excerpts must be an integer"),
         (dict(momentum=-0.1), None, "momentum"),
         (dict(momentum=1.0), None, "momentum"),
         ({}, lambda e: dict(input=FeatureSequence(e.input.frames[:, :10])), "mixed input dimensions"),
