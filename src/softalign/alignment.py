@@ -267,41 +267,28 @@ def classical_dtw(costs) -> tuple[float, list[tuple[int, int]]]:
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            best = min(d[i - 1, j - 1], d[i - 1, j], d[i, j - 1])
-            if d[i - 1, j - 1] == best:
-                i, j = i - 1, j - 1
-            elif d[i - 1, j] == best:
-                i -= 1
-            else:
-                j -= 1
+        # Diagonal, vertical, horizontal: min keeps the first of equal costs.
+        steps = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+        i, j = min([s for s in steps if -1 not in s], key=d.item)
         path.append((i, j))
     path.reverse()
     return float(d[-1, -1]), path
 
 
-def path_count(n: int, m: int, *, cap: int | None = None) -> int:
+def path_count(n: int, m: int) -> int:
     """Exact number of monotone warping paths from (0, 0) to (n-1, m-1).
 
-    With `cap`, every partial count saturates at `cap`, so large lattices
-    never build huge integers and the result is min(count, cap).
+    That is the Delannoy number sum_k C(n-1, k) * C(m-1, k) * 2^k, summed
+    over the number k of diagonal steps, with each term got exactly from
+    the one before it.
     """
-    if n < 1 or m < 1 or cap is not None and cap < 1:
-        raise ValueError(f"path_count requires n, m >= 1 and cap >= 1, got {n}, {m}, cap={cap}")
-    limit = math.inf if cap is None else cap
-    row = [1] * m
-    for _ in range(1, n):
-        new = [1] * m
-        for j in range(1, m):
-            new[j] = min(limit, new[j - 1] + row[j] + row[j - 1])
-        row = new
-        if row[-1] >= limit:
-            break  # counts never shrink as rows are added
-    return row[-1]
+    if n < 1 or m < 1:
+        raise ValueError(f"path_count requires n, m >= 1, got {n}, {m}")
+    total = term = 1
+    for k in range(min(n, m) - 1):
+        term = term * (n - 1 - k) * (m - 1 - k) * 2 // (k + 1) ** 2
+        total += term
+    return total
 
 
 @lru_cache(maxsize=8)
@@ -344,7 +331,7 @@ def brute_force_softdtw(costs, gamma: float) -> tuple[float, np.ndarray]:
     c = as_cost_matrix(costs)
     g = _check_gamma(gamma)
     n, m = c.shape
-    if path_count(n, m, cap=PATH_ENUMERATION_LIMIT + 1) > PATH_ENUMERATION_LIMIT:
+    if path_count(n, m) > PATH_ENUMERATION_LIMIT:
         raise TooManyPathsError(f"more than {PATH_ENUMERATION_LIMIT} paths for shape {c.shape}")
     idx = _path_cell_indices(n, m)
     cext = np.append(c.ravel(), 0.0)

@@ -156,10 +156,7 @@ def _cmd_gradcheck(args):
         raise ValueError("rows, cols, dim and trials must be >= 1")
     gamma = _check_gamma(args.gamma)
     rng = np.random.default_rng(args.seed)
-    run_oracle = (
-        path_count(args.rows, args.cols, cap=ORACLE_CHECK_PATH_LIMIT + 1)
-        <= ORACLE_CHECK_PATH_LIMIT
-    )
+    run_oracle = path_count(args.rows, args.cols) <= ORACLE_CHECK_PATH_LIMIT
     worst_fd = 0.0
     worst_oracle_cost = 0.0
     worst_oracle_grad = 0.0

@@ -5,7 +5,8 @@ the evaluated material; concatenate excerpts before calling to evaluate a
 whole set. Each measure reads a `Reference`, which `prepare_reference`
 builds once for repeated evaluation, and which alone can carry a
 real-valued cosine reference; a roll passed instead is prepared on the
-fly. Each raises ValueError on a NaN or infinite prediction.
+fly. Each raises ValueError on a NaN or infinite prediction, or on a NaN
+or infinite real-valued reference.
 """
 
 from __future__ import annotations
@@ -53,11 +54,16 @@ def prepare_reference(
     """`ref` prepared, with `cosine_ref` replacing it for the cosine measure.
 
     Without `cosine_ref`, a PianoRoll keeps no dense frames and any other
-    `ref` is its own cosine reference. A Reference is returned as is."""
+    `ref` is its own cosine reference. A Reference is returned as is.
+    Raises ValueError on a NaN or infinite frame of a `ref` that is not a
+    PianoRoll (rolls are binary by construction), or of `cosine_ref`."""
     if isinstance(ref, Reference):
         if cosine_ref is not None:
             raise ValueError("a prepared reference already holds its cosine reference")
         return ref
+    for name, seq in (("ref", ref), ("cosine_ref", cosine_ref)):
+        if isinstance(seq, FeatureSequence) and not np.isfinite(seq.frames).all():
+            raise ValueError(f"prepare_reference requires finite {name} frames")
     truth = ref.frames > 0.0
     positives = np.flatnonzero(truth).astype(np.min_scalar_type(truth.size))
     counts = np.count_nonzero(truth, axis=1).astype(np.int32)

@@ -408,7 +408,11 @@ def generate_synthetic_dataset(
     tempos thus differ from the input's, and a score roll never exceeds
     the input length (keeps the stretched variants well defined).
     """
-    if excerpt_count < 1 or frames < 1 or polyphony < 1 or polyphony > PITCH_COUNT:
+    try:
+        valid = min(map(operator.index, (excerpt_count, frames, polyphony))) >= 1
+    except TypeError:
+        valid = False
+    if not valid or polyphony > PITCH_COUNT:
         raise ValueError("invalid generator parameters")
     if not (math.isfinite(noise_level) and noise_level >= 0.0):
         raise ValueError("noise_level must be finite and >= 0")

@@ -44,9 +44,8 @@ small_lattices = hnp.arrays(
 
 class TestPathCount:
     def test_known_values(self):
-        assert path_count(1, 1) == 1
-        assert path_count(2, 2) == 3
-        assert path_count(3, 3) == 13
+        # central Delannoy numbers (OEIS A001850)
+        assert [path_count(k, k) for k in range(1, 8)] == [1, 3, 13, 63, 321, 1683, 8989]
 
     def test_matches_independent_recursion(self):
         @lru_cache(maxsize=None)
@@ -55,9 +54,14 @@ class TestPathCount:
                 return 1
             return count(n - 1, m) + count(n, m - 1) + count(n - 1, m - 1)
 
-        for n in range(1, 8):
-            for m in range(1, 8):
+        for n in range(1, 41):
+            for m in range(1, 41):
                 assert path_count(n, m) == count(n, m)
+
+    def test_symmetric(self):
+        for n in range(1, 100):
+            for m in range(1, n):
+                assert path_count(n, m) == path_count(m, n)
 
     def test_matches_explicit_enumeration(self):
         def enumerate_paths(n, m):
@@ -78,23 +82,10 @@ class TestPathCount:
             for m in range(1, 5):
                 assert path_count(n, m) == len(enumerate_paths(n, m))
 
-    def test_cap_saturates(self):
-        for n in range(1, 9):
-            for m in range(1, 9):
-                for cap in (1, 5, 13, 10**4):
-                    assert path_count(n, m, cap=cap) == min(path_count(n, m), cap)
-        assert path_count(2000, 2000, cap=10**6) == 10**6
-
     @pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0), (-1, 2)])
     def test_rejects_sizes_below_one(self, n, m):
         with pytest.raises(ValueError, match="n, m >= 1"):
             path_count(n, m)
-
-    @pytest.mark.parametrize("cap", [0, -5])
-    @pytest.mark.parametrize("n, m", [(3, 3), (1, 5)])
-    def test_rejects_cap_below_one(self, n, m, cap):
-        with pytest.raises(ValueError, match="cap >= 1"):
-            path_count(n, m, cap=cap)
 
 
 class TestForward:

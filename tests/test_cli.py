@@ -237,6 +237,17 @@ class TestGradcheckCommand:
         assert code == 2
         assert report_dict(out)["pass"] == "false"
 
+    @pytest.mark.parametrize("cols, checked", [("8", True), ("9", False)])
+    def test_oracle_runs_up_to_its_path_limit(self, capsys, cols, checked):
+        # 8x8 has 48,639 warping paths; 8x9 has 108,545, over the 10^5 limit
+        code, out, _ = run_cli(capsys, "gradcheck", "--rows", "8", "--cols", cols, "--trials", "1")
+        fields = report_dict(out)
+        assert code == 0
+        assert fields["pass"] == "true"
+        assert fields["oracle_checked"] == str(checked).lower()
+        oracle_keys = {"max_rel_err_oracle_cost", "max_rel_err_oracle_grad"}
+        assert oracle_keys & fields.keys() == (oracle_keys if checked else set())
+
     def test_zero_reference_error_is_absolute(self):
         assert norm_rel_err(np.array([[0.5, -2.0]]), np.zeros((1, 2))) == 2.0
         assert norm_rel_err(np.zeros(3), np.zeros(3)) == 0.0

@@ -207,6 +207,24 @@ def test_non_finite_predictions_rejected(measure, bad, action):
             measure(pred, prepare_reference(ref))
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("measure", [
+    cosine_similarity, threshold_metrics, average_precision, evaluate,
+])
+def test_non_finite_references_rejected(measure, bad, action):
+    # Scored, the bad frame would read as a 0 cosine and a negative cell.
+    pred, roll = FeatureSequence(np.full((2, 72), 0.5)), PianoRoll(np.ones((2, 72)))
+    frames = np.ones((2, 72))
+    frames[1, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(ValueError, match="requires finite ref frames"):
+            measure(pred, FeatureSequence(frames))
+        with pytest.raises(ValueError, match="requires finite cosine_ref frames"):
+            measure(pred, prepare_reference(roll, FeatureSequence(frames)))
+
+
 class TestThresholdMetrics:
     def test_perfect_binary_prediction(self):
         rng = np.random.default_rng(3)

@@ -363,6 +363,7 @@ class TestGenerateSyntheticDataset:
 
     @pytest.mark.parametrize("params", [
         dict(excerpt_count=0), dict(frames=0), dict(polyphony=0), dict(polyphony=73),
+        dict(excerpt_count=2.0), dict(frames=20.5), dict(polyphony=2.5),
         dict(noise_level=-0.1), dict(noise_level=float("nan")), dict(noise_level=float("inf")),
     ])
     def test_invalid_parameters_rejected(self, params):
