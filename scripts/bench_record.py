@@ -15,7 +15,11 @@ Per workload the file holds the median and quartiles of `work_per_s`,
 included), the traced round's per-layer values and any layer it could not
 trace. `digest` is `perfbench/checks.digest` of the outputs of one timed
 round at the first seed, so two records whose digests are equal produced
-bit-identical outputs. It also records the runs' `env.*` lines and whether
+bit-identical outputs. `minor_faults` is the median count of minor page
+faults (`ru_minflt`) per timed round over rounds 2-4 at the first seed,
+counted in its own process over the workload's requests after its warm-up;
+it shows whether a round still takes fresh pages from the operating system
+in its steady state. It also records the runs' `env.*` lines and whether
 `PYTHONDONTWRITEBYTECODE` is set: with it set, every set-up recompiles the
 package, so `setup_s` grows with the source. Before the benchmark runs, one
 run of the Tier-1 test command (`PYTHONPATH=src python -m pytest -q
@@ -58,6 +62,24 @@ w = workloads.WORKLOADS[sys.argv[1]]
 mods, data, _ = run.set_up(w, w.raw(int(sys.argv[2])))
 print(checks.digest([op.run() for op in w.ops(mods, data, 0, "timed")]))
 """
+# Prints the median minor page faults of rounds 2-4: argv is the workload name and seed.
+FAULTS = """
+import resource, statistics, sys
+sys.path.insert(0, "perfbench")
+import run, workloads
+w = workloads.WORKLOADS[sys.argv[1]]
+mods, data, _ = run.set_up(w, w.raw(int(sys.argv[2])))
+for op in w.ops(mods, data, 0, "warm"):
+    op.run()
+faults = []
+for round_no in range(4):
+    ops = w.ops(mods, data, round_no, "timed")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for op in ops:
+        op.run()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[1:]))
+"""
 
 
 def spread(values: list[float]) -> dict:
@@ -79,13 +101,13 @@ def run(root: Path, command: list[str], args: list[str]) -> tuple[list[str], dic
     return lines, json.loads(lines[-1])
 
 
-def output_digest(root: Path, name: str, seed: int) -> str:
-    """`perfbench/checks.digest` of one timed round of workload `name` in `root`."""
-    proc = subprocess.run([sys.executable, "-c", DIGEST, name, str(seed)], cwd=root,
+def probe(root: Path, script: str, name: str, seed: int) -> str:
+    """What `script` prints for workload `name` at `seed`, run in its own process in `root`."""
+    proc = subprocess.run([sys.executable, "-c", script, name, str(seed)], cwd=root,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"digest run failed ({proc.returncode}) for {name} in {root}")
+        raise SystemExit(f"probe run failed ({proc.returncode}) for {name} in {root}")
     return proc.stdout.strip()
 
 
@@ -175,7 +197,8 @@ def main(argv=None) -> int:
             "failed_frac": failed / attempted,
             "trace": {key: m["value"] for key, m in result["metrics"].items()},
             "trace_absent": [line.split(" ", 1)[1] for line in lines if line.startswith("trace.absent ")],
-            "digest": output_digest(args.root, name, args.seeds[0]),
+            "digest": probe(args.root, DIGEST, name, args.seeds[0]),
+            "minor_faults": float(probe(args.root, FAULTS, name, args.seeds[0])),
         }
 
     out = {

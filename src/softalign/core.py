@@ -77,8 +77,9 @@ class FeatureSequence:
 
 def _owned_sequence(frames: np.ndarray) -> FeatureSequence:
     """A FeatureSequence over `frames` itself, marked read-only: for (N, D)
-    float64 arrays the package computed and never writes again. Skips the
-    public constructor's checks and copy."""
+    float64 arrays the package computed and does not write while the
+    sequence lives (a view keeps its base writable). Skips the public
+    constructor's checks and copy."""
     frames.setflags(write=False)
     seq = object.__new__(FeatureSequence)
     object.__setattr__(seq, "frames", frames)

@@ -87,12 +87,16 @@ def _check_shapes(frames: np.ndarray, shape: tuple[int, ...]) -> None:
         raise DimensionMismatchError(f"frame dimensions differ: {frames.shape[1]} vs {shape[1]}")
 
 
+class _FinitePrediction(FeatureSequence):
+    """A prediction `evaluate` has checked, so the measures it calls skip the finiteness scan."""
+
+
 def _checked(pred: FeatureSequence, ref, measure: str) -> tuple[np.ndarray, Reference]:
     """The prediction frames, checked against the reference and for finiteness."""
     reference = prepare_reference(ref)
     p = pred.frames
     _check_shapes(p, reference.shape)
-    if not np.isfinite(p).all():
+    if type(pred) is not _FinitePrediction and not np.isfinite(p).all():
         raise ValueError(f"{measure} requires finite scores")
     return p, reference
 
@@ -198,6 +202,9 @@ def evaluate(
     roll, pass `prepare_reference(roll, cosine_ref)`.
     """
     reference = prepare_reference(ref)
+    frames, _ = _checked(pred, reference, "evaluate")
+    pred = object.__new__(_FinitePrediction)
+    object.__setattr__(pred, "frames", frames)
     precision, recall, f_measure, accuracy = threshold_metrics(pred, reference, threshold)
     return EvalReport(
         cosine_similarity=cosine_similarity(pred, reference),

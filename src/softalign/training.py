@@ -9,6 +9,7 @@ Inputs are synthetic overtone spectra so the whole suite runs in seconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -53,7 +54,7 @@ class LinearModel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of a fresh array, computed in place and returned."""
+    """Logistic function of an array nothing else reads, computed in place and returned."""
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without a masked
     # pass: e^-|x| is one of the two exponentials and the numerator is 1 or it.
     ez = np.abs(x)
@@ -71,22 +72,29 @@ def model_forward(model: LinearModel, input: FeatureSequence) -> FeatureSequence
     return _owned_sequence(_concatenated_forward(model, [input]))
 
 
-def _concatenated_forward(model: LinearModel, inputs: list[FeatureSequence]) -> np.ndarray:
+def _concatenated_forward(
+    model: LinearModel, inputs: list[FeatureSequence], out: np.ndarray | None = None
+) -> np.ndarray:
     """The model applied to several inputs, as one concatenated frame array.
 
     Each input's matrix product goes into its own rows, so it keeps the
     shape and the bits of a forward pass over that input alone; the bias
-    add and the sigmoid then run once over all rows.
+    add and the sigmoid then run once over all rows. The array is `out`
+    when given (a writable float64 array of that shape), else a new one.
     """
-    pre = np.empty((sum(len(x) for x in inputs), PITCH_COUNT))
+    shape = (sum(len(x) for x in inputs), PITCH_COUNT)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     start = 0
     for x in inputs:
         if x.dim != model.d_in:
             raise DimensionMismatchError(f"input dimension {x.dim} != model dimension {model.d_in}")
-        np.matmul(x.frames, model.weight.T, out=pre[start : start + len(x)])
+        np.matmul(x.frames, model.weight.T, out=out[start : start + len(x)])
         start += len(x)
-    pre += model.bias
-    return _sigmoid(pre)
+    out += model.bias
+    return _sigmoid(out)
 
 
 @dataclass
@@ -154,6 +162,8 @@ def softdtw_loss_and_grads(
     target: FeatureSequence | PianoRoll | Sequence[FeatureSequence | PianoRoll],
     gamma: float,
     normalizer: LossNormalizer,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Normalized soft alignment loss and its parameter gradients.
 
@@ -165,11 +175,17 @@ def softdtw_loss_and_grads(
     normalized sum of the excerpts' raw losses, and both dynamic programs
     run once over a stack of all the excerpts' lattices; the results equal
     those of summing single-excerpt calls in order.
+
+    `out`, a writable float64 array with one row per input frame and 72
+    columns, receives the model outputs when given; the call reads them
+    through read-only views and keeps none of them.
     """
     g = _check_gamma(gamma)
     if isinstance(input, FeatureSequence):
         input, target = [input], [target]
-    outputs = [model_forward(model, x) for x in input]
+    frames = _concatenated_forward(model, input, out)
+    rows = [0, *itertools.accumulate(map(len, input))]
+    outputs = [_owned_sequence(frames[a:b]) for a, b in zip(rows, rows[1:])]
     costs = [
         build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, z, y)
         for z, y in zip(outputs, target, strict=True)
@@ -271,19 +287,26 @@ def evaluate_model(
     dataset: list[SyntheticExcerpt],
     threshold: float = DEFAULT_THRESHOLD,
     reference: Reference | None = None,
+    out: np.ndarray | None = None,
 ) -> EvalReport:
     """Evaluate predictions against the strongly aligned annotations.
 
     Excerpts are concatenated (micro-averaging). `reference` is the
     `prepare_reference` of the concatenated strong rolls, which `train`
     builds once per run; None prepares it here, with the binary rolls as
-    the cosine reference. Raises TypeError for anything else.
+    the cosine reference. Raises TypeError for anything else, and
+    ValueError for an empty dataset. `out`, a writable float64 array with
+    one row per frame of the dataset and 72 columns, receives the
+    predictions when given; they are read through a read-only view that
+    does not outlive the call.
     """
+    if not dataset:
+        raise ValueError("evaluate_model needs a non-empty dataset")
     if reference is None:
         reference = _strong_reference(dataset)
     elif not isinstance(reference, Reference):
         raise TypeError(f"reference must be a prepared Reference or None, not {type(reference).__name__}")
-    preds = _owned_sequence(_concatenated_forward(model, [e.input for e in dataset]))
+    preds = _owned_sequence(_concatenated_forward(model, [e.input for e in dataset], out).view())
     return evaluate(preds, reference, threshold)
 
 
@@ -320,6 +343,10 @@ def train(
         starts = np.cumsum([len(t) for t in targets[:-1]])
         targets = [_owned_sequence(rows) for rows in np.split(cosine_ref.frames, starts)]
     reference = _strong_reference(dataset, cosine_ref)
+    # One prediction buffer for the run: each soft-DTW step writes its
+    # batch's outputs into that batch's rows, each evaluation all of them.
+    buffer = np.empty(reference.shape)
+    first_row = [0, *itertools.accumulate(len(e.input) for e in dataset)]
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):
@@ -330,7 +357,8 @@ def train(
             if config.loss_kind is LossKind.SOFT_ALIGNMENT:
                 # normalizer applied after batch averaging; use raw here
                 raw_sum, gw, gb = softdtw_loss_and_grads(
-                    model, inputs, batch_targets, config.gamma, LossNormalizer(reference=1.0)
+                    model, inputs, batch_targets, config.gamma, LossNormalizer(reference=1.0),
+                    out=buffer[first_row[start] : first_row[start + len(inputs)]],
                 )
             else:
                 raw_sum = 0.0
@@ -355,7 +383,7 @@ def train(
                 raise FloatingPointError(f"training diverged at epoch {epoch}, batch {batch}: "
                                          "the updated weight or bias is not finite")
             batch_losses.append(loss)
-        report = evaluate_model(model, dataset, config.threshold, reference)
+        report = evaluate_model(model, dataset, config.threshold, reference, buffer)
         history.append(
             EpochRecord(
                 epoch=epoch,

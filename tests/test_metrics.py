@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from softalign import (
     DimensionMismatchError,
+    EvalReport,
     FeatureSequence,
     LengthMismatchError,
     PianoRoll,
@@ -408,6 +409,31 @@ class TestEvaluate:
         assert report.f_measure == 1.0
         assert report.cosine_similarity == pytest.approx(1.0, abs=1e-12)
         assert report.average_precision == 1.0
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_prediction_scanned_for_finiteness_once(self, monkeypatch, prepared):
+        # evaluate checks the prediction once for the three measures it
+        # calls; each measure called on its own still checks it.
+        rng = np.random.default_rng(4)
+        pred = FeatureSequence(rng.random((5, 72)))
+        roll = PianoRoll((rng.random((5, 72)) < 0.2).astype(float))
+        ref = prepare_reference(roll) if prepared else roll
+        want = EvalReport(cosine_similarity(pred, ref), *threshold_metrics(pred, ref),
+                          average_precision(pred, ref))
+        scans = []
+        isfinite = np.isfinite
+
+        def recorded_isfinite(x, *args, **kwargs):
+            if np.shares_memory(x, pred.frames):
+                scans.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", recorded_isfinite)
+        assert evaluate(pred, ref) == want
+        assert len(scans) == 1
+        for measure in (cosine_similarity, threshold_metrics, average_precision):
+            measure(pred, ref)
+        assert len(scans) == 4
 
 
 class TestPreparedReference:

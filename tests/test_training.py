@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,9 +439,9 @@ class TestTrain:
 
         seen_targets, seen_refs = [], []
 
-        def soft(model, input, target, *args):
+        def soft(model, input, target, *args, **kwargs):
             seen_targets.extend(target)
-            return softdtw_loss_and_grads(model, input, target, *args)
+            return softdtw_loss_and_grads(model, input, target, *args, **kwargs)
 
         def per_frame(model, input, target, *args):
             seen_targets.append(target)
@@ -615,3 +616,153 @@ class TestTrain:
         _, history = train(data, cfg)
         assert np.isfinite(history[-1].mean_loss)
 
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-4 excerpts with inputs of 1-12 frames and targets of 1-12 frames,
+    each target a piano roll or real-valued; every strong roll has one
+    active pitch per frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    excerpts, targets = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        strong = np.zeros((n, 72))
+        strong[np.arange(n), rng.integers(72, size=n)] = 1.0
+        score = PianoRoll((rng.random((m, 72)) < 0.1).astype(float))
+        excerpts.append(SyntheticExcerpt(input=FeatureSequence(rng.standard_normal((n, 5))),
+                                         strong_target=PianoRoll(strong), score_target=score))
+        targets.append(score if draw(st.booleans()) else FeatureSequence(rng.random((m, 72))))
+    return excerpts, targets
+
+
+def _arrays(obj):
+    """Every array reachable from `obj` through dataclass fields, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+def _traced_peak(fn) -> int:
+    """tracemalloc peak of `fn()` above what was allocated before it, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPredictionBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=ragged_batches(), gamma=st.floats(1e-3, 30.0), pad=st.integers(0, 3))
+    def test_step_into_buffer_rows_is_bit_identical_and_keeps_no_view(self, batch, gamma, pad):
+        excerpts, targets = batch
+        inputs = [e.input for e in excerpts]
+        frames = sum(len(x) for x in inputs)
+        buffer = np.full((pad + frames + 2, 72), np.nan)
+        rows = buffer[pad : pad + frames]
+        model = small_model(5)
+        want = softdtw_loss_and_grads(model, inputs, targets, gamma, LossNormalizer(reference=1.0))
+        got = softdtw_loss_and_grads(model, inputs, targets, gamma, LossNormalizer(reference=1.0),
+                                     out=rows)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        # the rows hold the model outputs; the rest of the buffer is untouched
+        assert np.array_equal(rows, np.concatenate([model_forward(model, x).frames for x in inputs]))
+        assert np.isnan(buffer[:pad]).all() and np.isnan(buffer[pad + frames :]).all()
+        assert buffer.flags.writeable and rows.flags.writeable
+        # a second call on the same rows leaves the first call's gradients as they were
+        kept = [g.copy() for g in got[1:]]
+        softdtw_loss_and_grads(small_model(5, seed=1), inputs, targets, gamma,
+                               LossNormalizer(reference=1.0), out=rows)
+        assert all(np.array_equal(g, k) and not np.shares_memory(g, buffer)
+                   for g, k in zip(got[1:], kept))
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=ragged_batches())
+    def test_evaluate_model_into_buffer_equals_fresh_predictions(self, batch):
+        excerpts, _ = batch
+        model = small_model(5)
+        buffer = np.full((sum(len(e.input) for e in excerpts), 72), np.nan)
+        assert evaluate_model(model, excerpts, 0.4, None, buffer) == evaluate_model(model, excerpts)
+        assert np.array_equal(buffer, np.concatenate([model_forward(model, e.input).frames
+                                                      for e in excerpts]))
+        assert buffer.flags.writeable
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=ragged_batches(), gamma=st.floats(1e-3, 30.0), size=st.integers(1, 4),
+           variant=st.sampled_from([LabelVariant.STRONG, LabelVariant.OVERTONE,
+                                    LabelVariant.SCORE]))
+    def test_train_writes_one_buffer_that_nothing_returned_shares(self, batch, gamma, size, variant):
+        from softalign import training
+
+        excerpts, _ = batch
+        outs = []
+        forward = training._concatenated_forward
+
+        def recorded_forward(model, inputs, out=None):
+            outs.append(out)
+            return forward(model, inputs, out)
+
+        cfg = TrainConfig(learning_rate=1.0, epochs=2, gamma=gamma, batch_excerpts=size,
+                          variant=variant)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "_concatenated_forward", recorded_forward)
+            model, history = train(excerpts, cfg)
+        buffer = outs[-1]  # the last evaluation writes the whole buffer
+        assert buffer.shape == (sum(len(e.input) for e in excerpts), 72)
+        assert buffer.flags.writeable
+        assert len(outs) == 2 * (-(-len(excerpts) // size) + 1)
+        assert all(out.base is buffer for out in outs if out is not buffer)
+        assert not any(np.shares_memory(a, buffer) for a in _arrays((model, history)))
+
+    def test_soft_dtw_run_peaks_at_one_step_plus_its_fixed_arrays(self):
+        # The buffer holds the step's outputs, so a whole-batch run peaks at
+        # one step's own arrays plus targets, reference and buffer, and its
+        # later epochs add nothing; a second prediction-sized block at the
+        # step (138 KiB here) would exceed the 64 KiB tolerance.
+        from softalign.training import _strong_reference
+
+        rng = np.random.default_rng(12)
+        data = []
+        for _ in range(6):
+            strong = np.zeros((40, 72))
+            strong[np.arange(40), rng.integers(72, size=40)] = 1.0
+            data.append(SyntheticExcerpt(input=FeatureSequence(rng.standard_normal((40, 4))),
+                                         strong_target=PianoRoll(strong),
+                                         score_target=PianoRoll(strong[::2])))
+        runs = [_traced_peak(lambda epochs=epochs: train(data, TrainConfig(
+            learning_rate=1.0, epochs=epochs, batch_excerpts=len(data), variant=LabelVariant.STRONG,
+        ))) for epochs in (1, 3)]
+        reference = _strong_reference(data)  # the strong targets are the dataset's own rolls
+        buffer = np.empty(reference.shape)
+        model = LinearModel.initialize(4, np.random.default_rng(0))
+        step = _traced_peak(lambda: softdtw_loss_and_grads(
+            model, [e.input for e in data], [e.strong_target for e in data], 10.0,
+            LossNormalizer(reference=1.0), out=buffer,
+        ))
+        fixed = buffer.nbytes + reference.positives.nbytes + reference.counts.nbytes
+        assert abs(runs[1] - runs[0]) <= 64 * 1024
+        assert abs(runs[1] - (step + fixed)) <= 64 * 1024
+
+    def test_buffer_of_the_wrong_shape_or_type_rejected(self, mini_data):
+        model = small_model(mini_data[0].input.dim)
+        frames = sum(len(e.input) for e in mini_data)
+        for bad in (np.empty((frames + 1, 72)), np.empty((frames, 71)), np.empty((frames, 72), np.float32)):
+            with pytest.raises(ValueError, match="out must be a float64 array"):
+                evaluate_model(model, mini_data, 0.4, None, bad)
+            with pytest.raises(ValueError, match="out must be a float64 array"):
+                softdtw_loss_and_grads(model, [e.input for e in mini_data],
+                                       [e.strong_target for e in mini_data], 10.0, LossNormalizer(),
+                                       out=bad)
+
+    def test_evaluate_model_rejects_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="evaluate_model needs a non-empty dataset"):
+            evaluate_model(small_model(5), [])
