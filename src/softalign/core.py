@@ -86,15 +86,12 @@ def _owned_sequence(frames: np.ndarray) -> FeatureSequence:
     return seq
 
 
-@dataclass(frozen=True)
-class PianoRoll:
+class PianoRoll(FeatureSequence):
     """A length-M sequence of binary 72-dim pitch vectors (C1..B6, multi-hot).
 
     Stored as an (M, 72) float64 array with entries exactly 0.0 or 1.0, so
     rolls can be fed straight into real-vector cost functions.
     """
-
-    frames: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.frames, dtype=np.float64)
@@ -105,13 +102,6 @@ class PianoRoll:
         if not np.all((arr == 0.0) | (arr == 1.0)):
             raise NotBinaryError("piano roll entries must all be exactly 0 or 1")
         object.__setattr__(self, "frames", _freeze(arr))
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return PITCH_COUNT
 
 
 def as_cost_matrix(values) -> np.ndarray:

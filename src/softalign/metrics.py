@@ -62,7 +62,7 @@ def prepare_reference(
             raise ValueError("a prepared reference already holds its cosine reference")
         return ref
     for name, seq in (("ref", ref), ("cosine_ref", cosine_ref)):
-        if isinstance(seq, FeatureSequence) and not np.isfinite(seq.frames).all():
+        if seq is not None and not isinstance(seq, PianoRoll) and not np.isfinite(seq.frames).all():
             raise ValueError(f"prepare_reference requires finite {name} frames")
     truth = ref.frames > 0.0
     positives = np.flatnonzero(truth).astype(np.min_scalar_type(truth.size))

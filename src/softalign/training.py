@@ -24,7 +24,7 @@ from .core import (DimensionMismatchError, FeatureSequence, LengthMismatchError,
                    _owned_sequence)
 from .cost import CostKind, build_cost_matrix
 from .metrics import DEFAULT_THRESHOLD, EvalReport, Reference, evaluate, prepare_reference
-from .targets import LabelVariant, apply_overtones, collapse_durations, make_variant
+from .targets import LabelVariant, apply_overtones, make_variant
 
 
 class ConfigError(ValueError):
@@ -183,13 +183,13 @@ def softdtw_loss_and_grads(
     g = _check_gamma(gamma)
     if isinstance(input, FeatureSequence):
         input, target = [input], [target]
+    if not 0 < len(input) == len(target):
+        raise ValueError(f"softdtw_loss_and_grads needs a non-empty batch with one target per input, "
+                         f"got {len(input)} inputs and {len(target)} targets")
     frames = _concatenated_forward(model, input, out)
     rows = [0, *itertools.accumulate(map(len, input))]
     outputs = [_owned_sequence(frames[a:b]) for a, b in zip(rows, rows[1:])]
-    costs = [
-        build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, z, y)
-        for z, y in zip(outputs, target, strict=True)
-    ]
+    costs = [build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, z, y) for z, y in zip(outputs, target)]
     corners, occupancies = _costs_and_gradients(costs, g)
     raw = 0.0
     for corner in corners:  # left to right: sum() compensates on Python >= 3.12
@@ -241,6 +241,9 @@ def per_frame_baseline_loss(
 def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> None:
     if not dataset:
         raise ConfigError("dataset is empty")
+    for name, kind in (("variant", LabelVariant), ("loss_kind", LossKind)):
+        if not isinstance(getattr(config, name), kind):
+            raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(config, name)!r}")
     _check_gamma(config.gamma)
     if not (math.isfinite(config.learning_rate) and config.learning_rate > 0.0):
         raise ConfigError("learning_rate must be positive and finite")
@@ -335,18 +338,19 @@ def train(
     normalizer = LossNormalizer()
     vel_w = np.zeros_like(model.weight)
     vel_b = np.zeros_like(model.bias)
+    # Excerpt i's frames are rows first_row[i]:first_row[i + 1] of the run's
+    # concatenated inputs, strong rolls and overtone targets alike.
+    first_row = [0, *itertools.accumulate(len(e.input) for e in dataset)]
     cosine_ref = None
     if config.variant is LabelVariant.OVERTONE:
         # One read-only copy of the real-valued targets: the loss reads row
         # views of it, evaluation the whole as its cosine reference.
         cosine_ref = _owned_sequence(np.concatenate([t.frames for t in targets]))
-        starts = np.cumsum([len(t) for t in targets[:-1]])
-        targets = [_owned_sequence(rows) for rows in np.split(cosine_ref.frames, starts)]
+        targets = [_owned_sequence(cosine_ref.frames[a:b]) for a, b in zip(first_row, first_row[1:])]
     reference = _strong_reference(dataset, cosine_ref)
     # One prediction buffer for the run: each soft-DTW step writes its
     # batch's outputs into that batch's rows, each evaluation all of them.
     buffer = np.empty(reference.shape)
-    first_row = [0, *itertools.accumulate(len(e.input) for e in dataset)]
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):
@@ -447,26 +451,25 @@ def generate_synthetic_dataset(
     rng = np.random.default_rng(seed)
     excerpts = []
     for ratio in np.linspace(0.6, 1.0, excerpt_count):
-        rows = []
-        prev = None
-        while len(rows) < frames:
-            dur = int(rng.integers(MIN_RUN, MAX_RUN + 1))
+        # The chord runs, each a chord unlike the one before, until they cover
+        # `frames`; the last starts inside the roll, so every chord shows in it.
+        chords, runs, covered = [], [], 0
+        while covered < frames:
+            runs.append(int(rng.integers(MIN_RUN, MAX_RUN + 1)))
+            covered += runs[-1]
             while True:
-                chord = np.zeros(PITCH_COUNT)
-                active = rng.choice(PITCH_COUNT, size=int(rng.integers(1, polyphony + 1)), replace=False)
-                chord[active] = 1.0
-                if prev is None or not np.array_equal(chord, prev):
+                chord = np.zeros(PITCH_COUNT)  # 1 to `polyphony` distinct pitches on
+                chord[rng.choice(PITCH_COUNT, size=int(rng.integers(1, polyphony + 1)), replace=False)] = 1.0
+                if not chords or not np.array_equal(chord, chords[-1]):
                     break
-            rows.extend([chord] * dur)
-            prev = chord
-        strong = PianoRoll(np.asarray(rows[:frames]))
+            chords.append(chord)
+        strong = PianoRoll(np.repeat(chords, runs, axis=0)[:frames])
 
-        run_frames = collapse_durations(strong).frames
-        durs = rng.integers(MIN_RUN, MAX_RUN + 1, size=len(run_frames)).astype(int)
-        score_len = max(len(run_frames), round(ratio * frames))
+        durs = rng.integers(MIN_RUN, MAX_RUN + 1, size=len(chords)).astype(int)
+        score_len = max(len(chords), round(ratio * frames))
         while durs.sum() > score_len:
             durs[int(np.argmax(durs))] -= 1
-        score = PianoRoll(np.repeat(run_frames, durs, axis=0))
+        score = PianoRoll(np.repeat(chords, durs, axis=0))
 
         clean = apply_overtones(strong).frames
         noisy = clean + noise_level * rng.standard_normal(clean.shape)

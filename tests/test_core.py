@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from softalign import (
     PianoRoll,
     RaggedRowsError,
     WrongWidthError,
+    prepare_reference,
 )
 from softalign.core import as_cost_matrix
 
@@ -102,6 +105,60 @@ class TestPianorollValidate:
     def test_rejects_wrong_ndim_or_no_frames(self, frames):
         with pytest.raises(EmptySequenceError):
             PianoRoll(frames)
+
+
+class TestPianoRollIsFeatureSequence:
+    """A roll is a FeatureSequence with three more checks, and keeps its own name."""
+
+    def roll(self):
+        frames = np.zeros((3, 72))
+        frames[[0, 1, 2], [4, 4, 30]] = 1.0
+        return PianoRoll(frames)
+
+    def test_is_a_feature_sequence_of_72_dims(self):
+        roll = self.roll()
+        assert isinstance(roll, FeatureSequence)
+        assert len(roll) == 3
+        assert roll.dim == 72
+
+    def test_frames_are_frozen(self):
+        roll = self.roll()
+        assert not roll.frames.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            roll.frames = np.ones((3, 72))
+
+    def test_repr_and_equality_name_piano_roll(self):
+        roll = self.roll()
+        assert repr(roll).startswith("PianoRoll(frames=")
+        assert roll == roll
+        plain = FeatureSequence(roll.frames)
+        assert roll != plain and plain != roll
+
+    def test_construction_runs_only_the_roll_checks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(FeatureSequence, "__post_init__", lambda seq: calls.append(seq))
+        roll = self.roll()
+        FeatureSequence(roll.frames)
+        assert len(calls) == 1 and type(calls[0]) is FeatureSequence
+
+    def test_prepare_reference_does_not_scan_a_roll(self, monkeypatch):
+        # the recording pattern of the metrics tests' single-scan check; the
+        # plain sequence is scanned, which shows the recorder sees scans
+        roll = self.roll()
+        plain = FeatureSequence(roll.frames)
+        scanned = []
+        isfinite = np.isfinite
+
+        def recorded_isfinite(x, *args, **kwargs):
+            scanned.extend(name for name, seq in (("roll", roll), ("plain", plain))
+                           if np.shares_memory(x, seq.frames))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", recorded_isfinite)
+        prepare_reference(roll)
+        assert scanned == []
+        prepare_reference(plain, roll)
+        assert scanned == ["plain"]
 
 
 class TestAsCostMatrix:

@@ -34,7 +34,7 @@ from softalign import (
     train,
 )
 from softalign.cli import norm_rel_err
-from softalign.training import _sigmoid
+from softalign.training import MAX_RUN, MIN_RUN, _sigmoid
 
 
 def small_model(d_in, seed=0):
@@ -160,6 +160,20 @@ class TestLossNormalizer:
 
 
 class TestSoftdtwLossAndGrads:
+    @pytest.mark.parametrize("inputs, targets", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
+    def test_batch_counts_checked_before_any_work(self, inputs, targets):
+        rng = np.random.default_rng(7)
+        model = small_model(5)
+        xs = [FeatureSequence(rng.standard_normal((4, 5))) for _ in range(inputs)]
+        ys = [PianoRoll(np.zeros((3, 72))) for _ in range(targets)]
+        out = np.full((4 * inputs, 72), 0.25)
+        normalizer = LossNormalizer()
+        message = f"^softdtw_loss_and_grads .*got {inputs} inputs and {targets} targets$"
+        with pytest.raises(ValueError, match=message):
+            softdtw_loss_and_grads(model, xs, ys, 1.0, normalizer, out=out)
+        assert np.all(out == 0.25)
+        assert normalizer.reference is None
+
     def test_first_batch_loss_exactly_one(self):
         rng = np.random.default_rng(3)
         model = small_model(5)
@@ -362,6 +376,20 @@ class TestGenerateSyntheticDataset:
             differ.append(not np.array_equal(w3.frames, w4.frames))
         assert any(differ)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_equals_the_row_by_row_construction(self, seed):
+        # excerpt counts 1-4, every length 1-40 (some below MIN_RUN),
+        # polyphony 1, 3 and 72, with and without noise
+        params = dict(seed=seed, excerpt_count=1 + seed % 4, frames=1 + 7 * seed % 40,
+                      polyphony=(1, 3, 72)[seed % 3], noise_level=(0.0, 0.05)[seed // 4 % 2])
+        got = generate_synthetic_dataset(**params)
+        want = _row_by_row_dataset(**params)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.input.frames, w.input.frames)
+            assert np.array_equal(g.strong_target.frames, w.strong_target.frames)
+            assert np.array_equal(g.score_target.frames, w.score_target.frames)
+
     @pytest.mark.parametrize("params", [
         dict(excerpt_count=0), dict(frames=0), dict(polyphony=0), dict(polyphony=73),
         dict(excerpt_count=2.0), dict(frames=20.5), dict(polyphony=2.5),
@@ -371,6 +399,40 @@ class TestGenerateSyntheticDataset:
         kwargs = dict(seed=0, excerpt_count=1, frames=10, polyphony=2, noise_level=0.05) | params
         with pytest.raises(ValueError):
             generate_synthetic_dataset(**kwargs)
+
+
+def _row_by_row_dataset(seed, excerpt_count, frames, polyphony, noise_level):
+    """The generator built frame by frame, with the RNG draws in the order
+    the generator makes them: each run's length, then its chord (redrawn
+    while equal to the one before); then the score durations, of the
+    chords read back from the strong roll by collapsing it; then the noise."""
+    rng = np.random.default_rng(seed)
+    excerpts = []
+    for ratio in np.linspace(0.6, 1.0, excerpt_count):
+        rows = []
+        prev = None
+        while len(rows) < frames:
+            dur = int(rng.integers(MIN_RUN, MAX_RUN + 1))
+            while True:
+                chord = np.zeros(72)
+                active = rng.choice(72, size=int(rng.integers(1, polyphony + 1)), replace=False)
+                chord[active] = 1.0
+                if prev is None or not np.array_equal(chord, prev):
+                    break
+            rows.extend([chord] * dur)
+            prev = chord
+        strong = PianoRoll(np.asarray(rows[:frames]))
+        run_frames = collapse_durations(strong).frames
+        durs = rng.integers(MIN_RUN, MAX_RUN + 1, size=len(run_frames)).astype(int)
+        score_len = max(len(run_frames), round(ratio * frames))
+        while durs.sum() > score_len:
+            durs[int(np.argmax(durs))] -= 1
+        score = PianoRoll(np.repeat(run_frames, durs, axis=0))
+        clean = apply_overtones(strong).frames
+        noisy = clean + noise_level * rng.standard_normal(clean.shape)
+        excerpts.append(SyntheticExcerpt(input=FeatureSequence(noisy), strong_target=strong,
+                                         score_target=score))
+    return excerpts
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +632,11 @@ class TestTrain:
         (dict(batch_excerpts=1.5), None, "batch_excerpts must be an integer"),
         (dict(momentum=-0.1), None, "momentum"),
         (dict(momentum=1.0), None, "momentum"),
+        (dict(variant="strong", loss_kind=LossKind.PER_FRAME_L2), None, "variant must be a LabelVariant"),
+        (dict(variant="w2"), None, "variant must be a LabelVariant"),
+        (dict(variant=None), None, "variant must be a LabelVariant"),
+        (dict(loss_kind="softdtw"), None, "loss_kind must be a LossKind"),
+        (dict(loss_kind="l2", variant=LabelVariant.OVERTONE), None, "loss_kind must be a LossKind"),
         ({}, lambda e: dict(input=FeatureSequence(e.input.frames[:, :10])), "mixed input dimensions"),
         ({}, lambda e: dict(strong_target=PianoRoll(e.strong_target.frames[:-1])), "one frame per input"),
     ])
