@@ -174,13 +174,16 @@ def softdtw_loss_and_grads(
     Given equally long sequences of inputs and targets, the loss is the
     normalized sum of the excerpts' raw losses, and both dynamic programs
     run once over a stack of all the excerpts' lattices; the results equal
-    those of summing single-excerpt calls in order.
+    those of summing single-excerpt calls in order. A single sequence on
+    one side and a batch on the other raises ValueError before any work.
 
     `out`, a writable float64 array with one row per input frame and 72
     columns, receives the model outputs when given; the call reads them
     through read-only views and keeps none of them.
     """
     g = _check_gamma(gamma)
+    if isinstance(input, FeatureSequence) != isinstance(target, FeatureSequence):
+        raise ValueError("softdtw_loss_and_grads needs one input with one target, or a batch of each")
     if isinstance(input, FeatureSequence):
         input, target = [input], [target]
     if not 0 < len(input) == len(target):

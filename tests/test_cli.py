@@ -1,5 +1,13 @@
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softalign import (
     CostKind,
@@ -8,6 +16,7 @@ from softalign import (
     LossKind,
     brute_force_softdtw,
     build_cost_matrix,
+    generate_synthetic_dataset,
     softdtw_gradient,
     toy_config,
 )
@@ -20,6 +29,7 @@ from softalign.cli import (
     read_sequence_file,
     write_sequence_file,
 )
+from softalign.training import TOY_DATASET_PARAMS
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +108,12 @@ class TestSequenceFile:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(SequenceFileError, match=message):
+            read_sequence_file(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2\n1.0 \xff\n")
+        with pytest.raises(SequenceFileError, match="bad.txt: not UTF-8 text"):
             read_sequence_file(path)
 
 
@@ -437,3 +453,196 @@ class TestFailedCommands:
         assert "overflow" in line
         assert str(fx) in line and str(fy) in line
         assert not fg.exists()
+
+
+EXCERPT_KINDS = ("input", "strong", "score")
+
+# The help text at 80 columns: the dataset flags keep their names, metavars and order.
+DATAGEN_HELP = """\
+usage: softalign datagen [-h] --out OUT [--seed SEED] [--excerpts EXCERPTS]
+                         [--frames FRAMES] [--polyphony POLYPHONY]
+                         [--noise NOISE]
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --seed SEED
+  --excerpts EXCERPTS
+  --frames FRAMES
+  --polyphony POLYPHONY
+  --noise NOISE
+"""
+
+TRAIN_HELP = """\
+usage: softalign train [-h] [--variant {strong,w1,w2,w3,w4,overtone}]
+                       [--loss {softdtw,l2,ce}] [--gamma GAMMA] [--lr LR]
+                       [--momentum MOMENTUM] [--epochs EPOCHS] [--seed SEED]
+                       [--threshold THRESHOLD] [--data-dir DATA_DIR]
+                       [--data-seed DATA_SEED] [--excerpts EXCERPTS]
+                       [--frames FRAMES] [--polyphony POLYPHONY]
+                       [--noise NOISE] [--report REPORT]
+                       [--model-out MODEL_OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --variant {strong,w1,w2,w3,w4,overtone}
+  --loss {softdtw,l2,ce}
+  --gamma GAMMA
+  --lr LR
+  --momentum MOMENTUM
+  --epochs EPOCHS
+  --seed SEED
+  --threshold THRESHOLD
+  --data-dir DATA_DIR   load a datagen directory instead of generating
+  --data-seed DATA_SEED
+  --excerpts EXCERPTS
+  --frames FRAMES
+  --polyphony POLYPHONY
+  --noise NOISE
+  --report REPORT       also write the report to this file
+  --model-out MODEL_OUT
+                        write final parameters (bias in last column)
+"""
+
+
+def excerpt_names(count):
+    return {f"excerpt_{i:03d}_{kind}.txt" for i in range(count) for kind in EXCERPT_KINDS}
+
+
+class TestCommandTables:
+    def test_datagen_writes_three_files_per_excerpt_and_the_manifest(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        code, _, _ = run_cli(capsys, "datagen", "--out", str(out_dir), "--excerpts", "3", "--frames", "12")
+        assert code == 0
+        assert {path.name for path in out_dir.iterdir()} == excerpt_names(3) | {"dataset.txt"}
+
+    @pytest.mark.parametrize("command, seed_flag", [("datagen", "--seed"), ("train", "--data-seed")])
+    @pytest.mark.parametrize("flags, params", [
+        pytest.param(["--excerpts", "2", "--frames", "21", "--polyphony", "2", "--noise", "1"],
+                     dict(seed=9, excerpt_count=2, frames=21, polyphony=2, noise_level=1.0), id="given"),
+        pytest.param([], dict(TOY_DATASET_PARAMS, seed=9), id="defaults"),
+    ])
+    def test_dataset_flags_reach_the_generator(self, tmp_path, capsys, monkeypatch, command, seed_flag,
+                                               flags, params):
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return generate_synthetic_dataset(**kwargs)
+
+        monkeypatch.setattr("softalign.cli.generate_synthetic_dataset", recording)
+        where = ["--out", str(tmp_path / "data")] if command == "datagen" else ["--epochs", "1"]
+        code, _, _ = run_cli(capsys, command, *where, seed_flag, "9", *flags)
+        assert code == 0
+        assert calls == [params]
+        assert [type(value) for value in calls[0].values()] == [type(value) for value in params.values()]
+
+    @pytest.mark.parametrize("command, text", [("datagen", DATAGEN_HELP), ("train", TRAIN_HELP)])
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, command, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out == text
+
+    def test_usage_error_prints_the_unchanged_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "datagen")
+        usage = DATAGEN_HELP.split("\n\n")[0] + "\n"
+        assert (code, out) == (1, "")
+        assert err == usage + "error: the following arguments are required: --out\n"
+
+    @pytest.mark.parametrize("cols, oracle_keys", [
+        ("8", ["max_rel_err_oracle_cost", "max_rel_err_oracle_grad"]),
+        ("9", []),
+    ])
+    def test_gradcheck_report_keys_in_order(self, capsys, cols, oracle_keys):
+        code, out, _ = run_cli(capsys, "gradcheck", "--rows", "8", "--cols", cols, "--trials", "1")
+        assert code == 0
+        keys = [line.split(" ")[0] for line in out.splitlines()]
+        assert keys == ["rows", "cols", "dim", "gamma", "trials", "oracle_checked", "max_rel_err_fd",
+                        *oracle_keys, "pass"]
+
+    @pytest.mark.parametrize("rows, cols, code", [("4", "4", 2), ("8", "9", 0)])
+    def test_oracle_tolerance_applies_only_when_the_oracle_ran(self, capsys, rows, cols, code):
+        # 4x4 runs the oracle, 8x9 does not; no error is below 1e-30
+        got, out, _ = run_cli(capsys, "gradcheck", "--rows", rows, "--cols", cols, "--trials", "1",
+                              "--oracle-tolerance", "1e-30")
+        assert got == code
+        assert report_dict(out)["pass"] == str(code == 0).lower()
+
+
+@pytest.fixture(scope="module")
+def three_excerpts(tmp_path_factory):
+    """A pristine 3-excerpt datagen directory, copied before each change."""
+    directory = tmp_path_factory.mktemp("pristine") / "data"
+    assert main(["datagen", "--out", str(directory), "--excerpts", "3", "--frames", "12", "--seed", "5"]) == 0
+    return directory
+
+
+class TestDatasetDirectory:
+    def test_gap_without_manifest_names_the_missing_input(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--excerpts", "4", "--frames", "12")
+        (out_dir / "excerpt_001_input.txt").unlink()
+        (out_dir / "dataset.txt").unlink()
+        with pytest.raises(SequenceFileError, match="excerpt_001_input.txt is missing$"):
+            _load_dataset(out_dir)
+        line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1"))
+        assert line == f"error: {out_dir / 'excerpt_001_input.txt'} is missing"
+
+    def test_manifest_count_above_the_files_names_the_first_missing_input(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--excerpts", "3", "--frames", "12")
+        (out_dir / "excerpt_000_input.txt").unlink()
+        with pytest.raises(SequenceFileError, match="lists 3 excerpts, found 0; .*excerpt_000_input.txt is missing$"):
+            _load_dataset(out_dir)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("strong", "entries must all be exactly 0 or 1"),
+        ("score", "must have 72 columns"),
+    ])
+    def test_roll_checks_name_the_file(self, tmp_path, capsys, kind, message):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--excerpts", "2", "--frames", "12")
+        path = out_dir / f"excerpt_001_{kind}.txt"
+        width = 72 if kind == "strong" else 71
+        write_sequence_file(path, np.full((12, width), 2.0 if kind == "strong" else 1.0))
+        line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1"))
+        assert line.startswith(f"error: {path}: ") and message in line
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(excerpt_names(3)) + ["dataset.txt"]),
+        change=st.sampled_from(["delete", "rename", "truncate", "corrupt"]),
+        position=st.integers(min_value=0, max_value=10**6),
+        byte=st.integers(min_value=0, max_value=255),
+    )
+    def test_one_changed_file_loads_in_full_or_is_named(self, three_excerpts, name, change, position, byte):
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch) / "data"
+            shutil.copytree(three_excerpts, directory)
+            path = directory / name
+            data = path.read_bytes()
+            at = position % len(data)
+            if change == "delete":
+                path.unlink()
+            elif change == "rename":  # to a name outside the dataset's
+                path.rename(path.with_name(name + ".bak"))
+            elif change == "truncate":
+                path.write_bytes(data[:at])
+            else:
+                path.write_bytes(data[:at] + bytes([byte]) + data[at + 1:])
+            try:
+                loaded = _load_dataset(directory)
+            except (ValueError, OSError) as exc:
+                assert name in str(exc)
+            else:
+                assert len(loaded) == 3
+                return
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["train", "--data-dir", str(directory), "--epochs", "1"])
+            assert code == 1
+            assert out.getvalue() == ""
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("error: ") and name in line

@@ -160,19 +160,40 @@ class TestLossNormalizer:
 
 
 class TestSoftdtwLossAndGrads:
-    @pytest.mark.parametrize("inputs, targets", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
+    # None stands for a single sequence, not a batch: (3, None) is three inputs
+    # against one 3-frame roll, whose length once passed for a target count
+    @pytest.mark.parametrize("inputs, targets", [
+        (0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, None), (None, 1), (None, 2),
+    ])
     def test_batch_counts_checked_before_any_work(self, inputs, targets):
         rng = np.random.default_rng(7)
         model = small_model(5)
-        xs = [FeatureSequence(rng.standard_normal((4, 5))) for _ in range(inputs)]
-        ys = [PianoRoll(np.zeros((3, 72))) for _ in range(targets)]
-        out = np.full((4 * inputs, 72), 0.25)
+        xs = [FeatureSequence(rng.standard_normal((4, 5))) for _ in range(1 if inputs is None else inputs)]
+        ys = [PianoRoll(np.zeros((3, 72))) for _ in range(1 if targets is None else targets)]
+        out = np.full((4 * len(xs), 72), 0.25)
         normalizer = LossNormalizer()
         message = f"^softdtw_loss_and_grads .*got {inputs} inputs and {targets} targets$"
+        if None in (inputs, targets):
+            xs = xs[0] if inputs is None else xs
+            ys = ys[0] if targets is None else ys
+            message = "^softdtw_loss_and_grads needs one input with one target, or a batch of each$"
         with pytest.raises(ValueError, match=message):
             softdtw_loss_and_grads(model, xs, ys, 1.0, normalizer, out=out)
         assert np.all(out == 0.25)
         assert normalizer.reference is None
+
+    def test_loss_and_gradients_divide_by_the_given_reference(self):
+        # a power-of-two reference scales every value exactly
+        rng = np.random.default_rng(5)
+        model = small_model(5)
+        x = FeatureSequence(rng.standard_normal((6, 5)))
+        roll = PianoRoll((rng.random((4, 72)) < 0.1).astype(float))
+        loss1, gw1, gb1 = softdtw_loss_and_grads(model, x, roll, 10.0, LossNormalizer(reference=1.0))
+        loss2, gw2, gb2 = softdtw_loss_and_grads(model, x, roll, 10.0, LossNormalizer(reference=2.0))
+        assert np.any(gw1 != 0.0) and np.any(gb1 != 0.0)
+        assert loss2 == loss1 / 2
+        assert np.array_equal(gw2, gw1 / 2)
+        assert np.array_equal(gb2, gb1 / 2)
 
     def test_first_batch_loss_exactly_one(self):
         rng = np.random.default_rng(3)
