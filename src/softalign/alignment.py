@@ -30,28 +30,35 @@ lattices and update every item on each anti-diagonal, so a batch pays the
 per-diagonal Python overhead once. `_pack` zero-pads a ragged batch into
 such a stack in one of two alignments. For the forward pass items sit in
 the start corner, padded on the bottom and right: a cell reads only its
-up, left and diagonal predecessors, so each item's D is exact. For the
-backward pass items sit in the end corner, so the turned sweep starts at
-each item's own (n_b-1, m_b-1). Its transition weights are built one
-item at a time over the item's band, its own n_b rows of the stack, so
-their temporary is one band, not one stack. Weights that leave a padding
-cell weigh exactly 0, which keeps E at 0 there instead of letting it grow
-without bound: those above a band are never written, and only the band's
-padding columns are set to 0. `_costs_and_gradients` pairs the two passes
-for every caller. It consumes the list of lattices it is given, as the
-backward pass consumes D: the list is emptied once the end-aligned cost
-stack is built, so the backward pass does not run beside a second copy of
-a batch's costs.
-A single lattice is a batch of one, which is never stacked: the sweep
-works on flat views with the cell position first, (N*M,) for one lattice
-and (N*M, B) for a stack, so one body with plain slices serves both.
+up, left and diagonal predecessors, so each item's D is exact. The
+forward pass sweeps a stack in a diagonal-major copy, ordered by
+anti-diagonal, then by row, with the batch innermost, so that each slice
+it reads or writes is one contiguous run of L*B cells rather than an
+(L, B) view strided in both axes; it takes and returns the start-aligned
+row-major stack, and every cell keeps the bits of the row-major sweep.
+For the backward pass items sit in the end corner, so the turned sweep
+starts at each item's own (n_b-1, m_b-1). Its transition weights are
+built one item at a time over the item's band, its own n_b rows of the
+stack, so their temporary is one band, not one stack. Weights that leave
+a padding cell weigh exactly 0, which keeps E at 0 there instead of
+letting it grow without bound: those above a band are never written, and
+only the band's padding columns are set to 0. `_costs_and_gradients`
+pairs the two passes for every caller. It consumes the list of lattices
+it is given, as the backward pass consumes D: the list is emptied as soon
+as the start-aligned stack is packed, and the end-aligned costs are made
+from that stack, so the forward phase holds at most three stacks and the
+backward pass's four stacks and one band stay the peak.
+A single lattice is a batch of one, which is never stacked, and is swept
+row-major, as is the backward pass: on flat views with the cell position
+first, (N*M,) for one lattice and (N*M, B) for a stack, one body with
+plain slices serves both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +71,7 @@ class TooManyPathsError(ValueError):
     """Raised when brute-force enumeration would visit more than 10^6 paths."""
 
 
-@dataclass(frozen=True)
-class SoftDtwResult:
+class SoftDtwResult(NamedTuple):
     """Scalar soft alignment cost plus the full accumulated matrix."""
 
     cost: float
@@ -144,16 +150,72 @@ def _unpack(stack: np.ndarray, shapes: list[tuple[int, int]], at_end: bool = Fal
     return [a[:rows, :cols] for a, (rows, cols) in zip(stack, shapes)]
 
 
-def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
-    # c is one (N, M) lattice or a start-aligned stack from `_pack`.
-    d = _border_fill(c)
-    dflat, cflat = _flat(d), _flat(c)
+@lru_cache(maxsize=32)
+def _diagonal_major(n: int, m: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Cell order, border rows and interior slices of a diagonal-major stack.
+
+    A diagonal-major (n*m, b) array holds cell (i, j) of every item in its
+    row `rank`, where order[rank] = i*m + j: cells go by anti-diagonal
+    i + j, then by row i, with the batch innermost. The cells that a slice
+    of `_interior_diagonals` selects, an anti-diagonal's interior or the
+    predecessors of each of its cells, are then one contiguous run; the
+    (cur, diag, up, left) slices here select those runs on the flat
+    (n*m*b,) view, in every item at once. `top` and `side` are the rows of
+    the first row's and the first column's cells. An entry holds 8 bytes
+    per cell and about 0.5 KiB per diagonal: 137 KiB at 80x80.
+    """
+    i, j = np.divmod(np.arange(n * m), m)
+    order = np.lexsort((i, i + j))
+    rank = np.argsort(order)
+    schedule = []
+    for entry in _interior_diagonals(n, m):
+        size = len(range(n * m)[entry[0]]) * b  # the run's cells in every item
+        starts = [int(rank[s.start]) * b for s in entry]
+        schedule.append(tuple(slice(p, p + size) for p in starts))
+    return order, rank[:m].copy(), rank[::m].copy(), tuple(schedule)
+
+
+def _soft_sweep(dflat: np.ndarray, cflat: np.ndarray, schedule: tuple, g: float) -> None:
+    # Fills the interior of D, given its border, one anti-diagonal at a time.
     g = np.asarray(g, dtype=np.float64)  # as a 0-d array, g is not converted anew on every diagonal
-    for cur, diag, up, left in _interior_diagonals(*c.shape[-2:]):
+    for cur, diag, up, left in schedule:
         diag, up, left = dflat[diag], dflat[up], dflat[left]
         lo = np.minimum(np.minimum(diag, up), left)
-        s = np.exp((lo - diag) / g) + np.exp((lo - up) / g) + np.exp((lo - left) / g)
-        dflat[cur] = cflat[cur] + lo - g * np.log(s)
+        # D = C + lo - g * log(exp((lo - diag) / g) + exp((lo - up) / g) +
+        # exp((lo - left) / g)), evaluated in that order but in place, in
+        # two temporaries rather than a fresh array per operation.
+        s, x = lo - diag, lo - up
+        s /= g
+        np.exp(s, out=s)
+        x /= g
+        s += np.exp(x, out=x)
+        np.subtract(lo, left, out=x)
+        x /= g
+        s += np.exp(x, out=x)
+        np.log(s, out=s)
+        s *= g
+        out = np.add(cflat[cur], lo, out=dflat[cur])
+        out -= s
+
+
+def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
+    # c is one (N, M) lattice or a start-aligned stack from `_pack`.
+    n, m = c.shape[-2:]
+    if c.ndim == 2:
+        d = _border_fill(c)
+        _soft_sweep(d.ravel(), c.ravel(), _interior_diagonals(n, m), g)
+        return d
+    # A stack is swept in a diagonal-major copy, and its D written back row-major.
+    order, top, side, schedule = _diagonal_major(n, m, len(c))
+    cells = _flat(c)
+    cd = cells[order]
+    dd = np.empty_like(cd)
+    dd[top] = np.cumsum(cells[:m], axis=0)
+    dd[side] = np.cumsum(cells[::m], axis=0)
+    _soft_sweep(dd.ravel(), cd.ravel(), schedule, g)
+    del cd  # the diagonal-major costs go before D is written back
+    d = np.empty_like(c)
+    _flat(d)[order] = dd
     return d
 
 
@@ -239,15 +301,15 @@ def softdtw_gradient(costs, gamma: float) -> np.ndarray:
 def _costs_and_gradients(costs: list[np.ndarray], g: float) -> tuple[list[float], list[np.ndarray]]:
     # Cost and occupancy of each validated lattice from one pair of sweeps;
     # the costs are read before the backward pass consumes D. Empties
-    # `costs` once their end-aligned stack is built; a batch of one stays
-    # the caller's unstacked array.
+    # `costs` once they are packed; a batch of one stays the caller's
+    # unstacked array. Each rebinding frees a stack, so no phase holds more
+    # than three stacks before the backward pass.
     shapes = [c.shape for c in costs]
-    d = _forward_fill(_pack(costs), g)
-    # Rebinding frees the start-aligned stack before the backward pass.
-    d = _pack(_unpack(d, shapes), at_end=True)
-    corners = [float(corner) for corner in np.ravel(d[..., -1, -1])]
-    c = _pack(costs, at_end=True)
+    c = _pack(costs)
     costs.clear()
+    d = _pack(_unpack(_forward_fill(c, g), shapes), at_end=True)
+    corners = [float(corner) for corner in np.ravel(d[..., -1, -1])]
+    c = _pack(_unpack(c, shapes), at_end=True)
     e = _backward_fill(c, d, g, shapes)
     return corners, _unpack(e, shapes, at_end=True)
 

@@ -95,6 +95,15 @@ def read_sequence_file(path) -> np.ndarray:
     return data
 
 
+def _read_as(make, path):
+    """`make(read_sequence_file(path))`, naming the file when `make`'s checks fail."""
+    frames = read_sequence_file(path)
+    try:
+        return make(frames)
+    except ValueError as exc:  # the sequence checks do not know the file
+        raise SequenceFileError(f"{path}: {exc}") from exc
+
+
 def norm_rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
     """Max-norm relative error: ||candidate - reference||_inf / ||reference||_inf."""
     denom = float(np.abs(reference).max()) or 1.0  # a zero reference: the absolute error
@@ -117,8 +126,8 @@ def finite_difference_gradient(costs: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _cmd_align(args):
-    x = FeatureSequence(read_sequence_file(args.x_file))
-    y = FeatureSequence(read_sequence_file(args.y_file))
+    x = _read_as(FeatureSequence, args.x_file)
+    y = _read_as(FeatureSequence, args.y_file)
 
     def finite(value):
         # finite inputs can still overflow float64 (squared differences, border sums)
@@ -229,15 +238,10 @@ def _load_dataset(directory: Path) -> list[SyntheticExcerpt]:
     unless that is every excerpt the directory holds."""
     excerpts = []
     while (gap := _excerpt_file(directory, len(excerpts), "input")).exists():
-        sequences = []
-        for kind, make in zip(_EXCERPT_KINDS, (FeatureSequence, PianoRoll, PianoRoll)):
-            path = _excerpt_file(directory, len(excerpts), kind)
-            frames = read_sequence_file(path)
-            try:
-                sequences.append(make(frames))
-            except ValueError as exc:  # the sequence checks do not know the file
-                raise SequenceFileError(f"{path}: {exc}") from exc
-        excerpts.append(SyntheticExcerpt(*sequences))
+        excerpts.append(SyntheticExcerpt(*(
+            _read_as(make, _excerpt_file(directory, len(excerpts), kind))
+            for kind, make in zip(_EXCERPT_KINDS, (FeatureSequence, PianoRoll, PianoRoll))
+        )))
     expected = _manifest_excerpt_count(directory)
     if expected is not None and expected != len(excerpts):
         raise SequenceFileError(f"{directory}: dataset.txt lists {expected} excerpts, found {len(excerpts)}"
@@ -289,8 +293,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    pred = FeatureSequence(read_sequence_file(args.pred_file))
-    ref = PianoRoll(read_sequence_file(args.ref_file))
+    pred = _read_as(FeatureSequence, args.pred_file)
+    ref = _read_as(PianoRoll, args.ref_file)
     report = dict(vars(evaluate(pred, ref, args.threshold)))
     return 0, [("threshold", float(report.pop("threshold"))), *report.items()]
 

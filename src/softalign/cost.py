@@ -60,10 +60,10 @@ def build_cost_matrix(
     # Equal frames give bit-equal columns (+-0.0 square alike); NaN never
     # compares equal, so it is never merged. Only the target is scanned:
     # the model output it is compared with does not repeat.
-    starts = np.flatnonzero(np.r_[True, np.any(yf[1:] != yf[:-1], axis=1)])
+    starts = np.flatnonzero(np.concatenate(([True], np.any(yf[1:] != yf[:-1], axis=1))))
     if starts.size == len(yf):
         return _banded(x.frames, yf)
-    counts = np.diff(np.r_[starts, len(yf)])
+    counts = np.diff(np.concatenate((starts, [len(yf)])))
     return np.repeat(_banded(x.frames, yf[starts]), counts, axis=1)
 
 

@@ -586,6 +586,49 @@ class TestBatchedSweep:
             assert all(np.array_equal(v, a) for v, a in zip(views, items))
 
 
+class TestDiagonalMajorStack:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["ties", "negative", "huge"]),
+        st.integers(0, 2**31 - 1),
+        st.lists(st.tuples(st.integers(1, 80), st.integers(1, 80)), min_size=2, max_size=6),
+        st.sampled_from([1e-8, 1e-3, 1.0, 10.0, 20.0]),
+    )
+    @example("ties", 8, [(80, 80), (1, 80), (80, 1), (2, 2), (79, 3), (40, 80)], 1e-8)
+    def test_diagonal_major_stack_matches_row_major_items(self, kind, seed, shapes, gamma):
+        # A stack is swept diagonal-major; each item's D keeps the bits of
+        # the row-major sweep of that item alone.
+        from softalign.alignment import _forward_fill, _pack, _unpack
+
+        costs = [_hard_case_costs(kind, seed + b, n, m) for b, (n, m) in enumerate(shapes)]
+        stack = _pack(costs)
+        before = stack.tobytes()
+        with np.errstate(over="raise", invalid="raise"):
+            d = _forward_fill(stack, gamma)
+            for item, c in zip(_unpack(d, shapes), costs, strict=True):
+                assert np.array_equal(item, _forward_fill(c, gamma))
+        assert d.shape == stack.shape and d.flags.c_contiguous
+        assert stack.tobytes() == before
+
+    def test_forward_peak_is_two_stacks_beyond_its_input(self):
+        # The diagonal-major costs and D, then that D and the row-major D
+        # it is written back to: the costs' copy is freed before.
+        from softalign.alignment import _forward_fill, _pack
+
+        rng = np.random.default_rng(4)
+        stack = _pack([rng.random(shape) for shape in [(128, 128), (120, 128), (128, 112), (112, 120)]])
+        _forward_fill(stack, 1.0)  # caches the schedule
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            d = _forward_fill(stack, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert d.shape == stack.shape
+        assert peak <= 2 * stack.nbytes + 64 * 1024
+
+
 class TestDiagonalSchedule:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_visits_each_interior_cell_once_with_its_predecessors(self, n):
@@ -604,6 +647,35 @@ class TestDiagonalSchedule:
                     assert np.array_equal(pi, i - di) and np.array_equal(pj, j - dj)
                 visited.extend(flat[cur].tolist())
             assert sorted(visited) == [i * m + j for i in range(1, n) for j in range(1, m)]
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_diagonal_major_slices_visit_each_interior_cell_once_with_its_predecessors(self, b):
+        from softalign.alignment import _diagonal_major
+
+        for n in range(1, 13):
+            for m in range(1, 13):
+                order, top, side, schedule = _diagonal_major(n, m, b)
+                # Diagonal-major position p holds cell order[p // b] of item p % b,
+                # with the cells ordered by anti-diagonal, then by row.
+                i, j = np.divmod(order, m)
+                assert sorted(order) == list(range(n * m))
+                assert np.all(np.diff((i + j) * n + i) > 0)
+                assert np.array_equal(order[top], np.arange(m))
+                assert np.array_equal(order[side], np.arange(n) * m)
+                cell, item = np.repeat(order, b), np.tile(np.arange(b), n * m)
+                assert len(schedule) == (n + m - 3 if n > 1 and m > 1 else 0)
+                visited = []
+                for k, (cur, diag, up, left) in enumerate(schedule, start=2):
+                    assert all(s.step is None for s in (cur, diag, up, left))  # contiguous runs
+                    i, j = np.divmod(cell[cur], m)
+                    assert np.all((i >= 1) & (j >= 1) & (i + j == k))
+                    for s, (di, dj) in ((diag, (1, 1)), (up, (1, 0)), (left, (0, 1))):
+                        pi, pj = np.divmod(cell[s], m)
+                        assert np.array_equal(pi, i - di) and np.array_equal(pj, j - dj)
+                        assert np.array_equal(item[s], item[cur])
+                    visited.extend(zip(item[cur].tolist(), cell[cur].tolist()))
+                assert sorted(visited) == [(t, i * m + j) for t in range(b) for i in range(1, n) for j in range(1, m)]
+        assert _diagonal_major(7, 5, b) is _diagonal_major(7, 5, b)
 
     def test_is_an_immutable_tuple_shared_per_shape(self):
         from softalign.alignment import _interior_diagonals

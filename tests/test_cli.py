@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softalign
 from softalign import (
     CostKind,
     FeatureSequence,
@@ -434,6 +438,19 @@ class TestFailedCommands:
         write_sequence_file(tmp_path / "y3.txt", [[1.0, 2.0, 3.0]])
         paths = {"x": tmp_path / "x.txt", "y3": tmp_path / "y3.txt", "missing": tmp_path / "missing"}
         assert_one_error(*run_cli(capsys, *(arg.format(**paths) for arg in argv)))
+
+    def test_eval_names_the_reference_file_that_is_not_a_roll(self, tmp_path):
+        # Out of process, as a shell runs it: a 2 in the reference roll.
+        pred, ref = tmp_path / "pred.txt", tmp_path / "ref.txt"
+        write_sequence_file(pred, np.full((3, 72), 0.5))
+        roll = np.zeros((3, 72))
+        roll[1, 5] = 2.0
+        write_sequence_file(ref, roll)
+        env = dict(os.environ, PYTHONPATH=str(Path(softalign.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "softalign.cli",
+                               "eval", str(pred), str(ref)], capture_output=True, text=True, env=env)
+        line = assert_one_error(proc.returncode, proc.stdout, proc.stderr)
+        assert line == f"error: {ref}: piano roll entries must all be exactly 0 or 1"
 
     # Finite inputs whose squared differences overflow (2 frames of 1e200), and
     # whose costs (about 4e306) are finite but whose 200-cell border sums overflow.
