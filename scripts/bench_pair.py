@@ -24,7 +24,7 @@ flat `key value` lines:
   head / base ratio over the pairs, and in how many pairs head was ahead;
 - `peak_alloc_mb.base` and `.head`: the median peak of each tree;
 - `minor_faults.base` and `.head`: `bench_record.py`'s steady-state fault
-  count at the first seed.
+  count at the first seed, the median and each of its process readings.
 
 The exit status is 1 when any digest differs, so the script can gate a
 change that claims to keep every output bit-identical.
@@ -69,6 +69,11 @@ def ratio(head: list[float], base: list[float], higher_is_better: bool) -> str:
     ahead = sum(r > 1.0 if higher_is_better else r < 1.0 for r in ratios)
     return (f"median {statistics.median(ratios):.4f} min {min(ratios):.4f} max {max(ratios):.4f}"
             f" ahead {ahead}/{len(ratios)}")
+
+
+def faults(values: list[float]) -> str:
+    """Median and every reading of one tree's fault probes."""
+    return f"median {statistics.median(values):.0f} values " + " ".join(f"{v:.0f}" for v in values)
 
 
 def main(argv=None) -> int:
@@ -120,8 +125,7 @@ def main(argv=None) -> int:
                 ("setup_s.ratio", ratio(head["setup_s"], base["setup_s"], False)),
                 *((f"peak_alloc_mb.{tree}", f"{statistics.median(values[tree, name]['peak_alloc_mb']):.4f}")
                   for tree in roots),
-                *((f"minor_faults.{tree}",
-                   bench_record.probe(roots[tree], bench_record.FAULTS, name, args.seeds[0]))
+                *((f"minor_faults.{tree}", faults(bench_record.minor_faults(roots[tree], name, args.seeds[0])))
                   for tree in roots),
             ]
             sys.stdout.write("".join(f"{name}.{key} {value}\n" for key, value in lines))

@@ -15,21 +15,27 @@ Per workload the file holds the median and quartiles of `work_per_s`,
 included), the traced round's per-layer values and any layer it could not
 trace. `digest` is `perfbench/checks.digest` of the outputs of one timed
 round at the first seed, so two records whose digests are equal produced
-bit-identical outputs. `minor_faults` is the median count of minor page
-faults (`ru_minflt`) per timed round over rounds 2-4 at the first seed,
-counted in its own process over the workload's requests after its warm-up;
-it shows whether a round still takes fresh pages from the operating system
-in its steady state. It also records the runs' `env.*` lines and whether
+bit-identical outputs. `minor_faults_values` holds, for each of
+`FAULT_PROBES` fresh processes, the median count of minor page faults
+(`ru_minflt`) per timed round over rounds 2-4 at the first seed, counted
+over the workload's requests after its warm-up; it shows whether a round
+still takes fresh pages from the operating system in its steady state.
+Each process starts its heap at another offset, and `minor_faults` is the
+median of their counts: the heap layout a process happens to reach can
+move its count by a few pages to a thousand, with no change to the code
+on the workload's path, so a single reading cannot tell that from a
+change. It also records the runs' `env.*` lines and whether
 `PYTHONDONTWRITEBYTECODE` is set: with it set, every set-up recompiles the
-package, so `setup_s` grows with the source. Before the benchmark runs, one
-run of the Tier-1 test command (`PYTHONPATH=src python -m pytest -q
---continue-on-collection-errors`) is timed and stored as `tier1_wall_s`;
-a failing suite stops the record. `src_lines` is the line count of
-`src/**/*.py` in the measured root, as `wc -l` counts it; `src_code_lines`
-counts only the lines of those files that hold a token other than a comment
-or a docstring (the first string statement of a module, class or function).
+package, so `setup_s` grows with the source.
+Before the benchmark runs, one run of the Tier-1 test command
+(`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`) is
+timed and stored as `tier1_wall_s`; a failing suite stops the record.
+`src_lines` is the line count of `src/**/*.py` in the measured root, as
+`wc -l` counts it; `src_code_lines` counts only the lines of those files
+that hold a token other than a comment or a docstring (the first string
+statement of a module, class or function).
 
-`--seconds 0 --seeds 1` is a smoke run of about a minute and a half.
+`--seconds 0 --seeds 1` is a smoke run of a few minutes.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from pathlib import Path
 SEEDS = (301, 302, 303, 304, 305)
 END_TO_END = ("work_per_s", "peak_alloc_mb", "setup_s")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+FAULT_PROBES = 3
 # Token types that hold no code of their own: comments, line structure, markers.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER}
@@ -109,6 +116,16 @@ def probe(root: Path, script: str, name: str, seed: int) -> str:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"probe run failed ({proc.returncode}) for {name} in {root}")
     return proc.stdout.strip()
+
+
+def minor_faults(root: Path, name: str, seed: int) -> list[float]:
+    """The FAULTS probe's count for workload `name` at `seed` in each of FAULT_PROBES processes.
+
+    Process k first holds k KiB, which shifts every later heap address, so
+    the readings sample several heap layouts instead of repeating one.
+    """
+    return [float(probe(root, f"shift = bytearray({1024 * k})\n" + FAULTS, name, seed))
+            for k in range(FAULT_PROBES)]
 
 
 def tier1_wall(root: Path) -> float:
@@ -192,13 +209,15 @@ def main(argv=None) -> int:
                              "--trace", "1"])
         record(name, lines, result)
         failed, attempted = tally[name]
+        faults = minor_faults(args.root, name, args.seeds[0])
         workloads[name] = {
             **{metric: spread(values[name][metric]) for metric in END_TO_END},
             "failed_frac": failed / attempted,
             "trace": {key: m["value"] for key, m in result["metrics"].items()},
             "trace_absent": [line.split(" ", 1)[1] for line in lines if line.startswith("trace.absent ")],
             "digest": probe(args.root, DIGEST, name, args.seeds[0]),
-            "minor_faults": float(probe(args.root, FAULTS, name, args.seeds[0])),
+            "minor_faults": statistics.median(faults),
+            "minor_faults_values": faults,
         }
 
     out = {

@@ -31,10 +31,12 @@ per-diagonal Python overhead once. `_pack` zero-pads a ragged batch into
 such a stack in one of two alignments. For the forward pass items sit in
 the start corner, padded on the bottom and right: a cell reads only its
 up, left and diagonal predecessors, so each item's D is exact. The
-forward pass sweeps a stack in a diagonal-major copy, ordered by
-anti-diagonal, then by row, with the batch innermost, so that each slice
-it reads or writes is one contiguous run of L*B cells rather than an
-(L, B) view strided in both axes; it takes and returns the start-aligned
+forward pass sweeps a stack in a diagonal-major copy, an (N*M, B) array
+with the cell position first, as on the flat views below, and the cells
+ordered by anti-diagonal, then by row. Each slice it reads or writes is
+then one contiguous block of L rows rather than an (L, B) view strided in
+both axes, and the slices depend on the lattice shape alone, so one cached
+entry serves every batch size. It takes and returns the start-aligned
 row-major stack, and every cell keeps the bits of the row-major sweep.
 For the backward pass items sit in the end corner, so the turned sweep
 starts at each item's own (n_b-1, m_b-1). Its transition weights are
@@ -88,8 +90,8 @@ def _check_gamma(gamma: float) -> float:
 def _border_fill(c: np.ndarray) -> np.ndarray:
     # First row and column: the single path along each border.
     d = np.empty_like(c)
-    d[..., 0, :] = np.cumsum(c[..., 0, :], axis=-1)
-    d[..., :, 0] = np.cumsum(c[..., :, 0], axis=-1)
+    d[0] = np.cumsum(c[0])
+    d[:, 0] = np.cumsum(c[:, 0])
     return d
 
 
@@ -151,27 +153,27 @@ def _unpack(stack: np.ndarray, shapes: list[tuple[int, int]], at_end: bool = Fal
 
 
 @lru_cache(maxsize=32)
-def _diagonal_major(n: int, m: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+def _diagonal_major(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Cell order, border rows and interior slices of a diagonal-major stack.
 
-    A diagonal-major (n*m, b) array holds cell (i, j) of every item in its
-    row `rank`, where order[rank] = i*m + j: cells go by anti-diagonal
-    i + j, then by row i, with the batch innermost. The cells that a slice
-    of `_interior_diagonals` selects, an anti-diagonal's interior or the
-    predecessors of each of its cells, are then one contiguous run; the
-    (cur, diag, up, left) slices here select those runs on the flat
-    (n*m*b,) view, in every item at once. `top` and `side` are the rows of
-    the first row's and the first column's cells. An entry holds 8 bytes
-    per cell and about 0.5 KiB per diagonal: 137 KiB at 80x80.
+    A diagonal-major (n*m, B) array, cell position first as in `_flat`,
+    holds cell (i, j) of every item in its row `rank`, where
+    order[rank] = i*m + j: cells go by anti-diagonal i + j, then by row i.
+    The cells that a slice of `_interior_diagonals` selects, an
+    anti-diagonal's interior or the predecessors of each of its cells, are
+    then one contiguous run of rows; the (cur, diag, up, left) slices here
+    select those runs, in every item at once, whatever B is. `top` and
+    `side` are the rows of the first row's and the first column's cells.
+    An entry holds 8 bytes per cell and about 0.5 KiB per diagonal:
+    137 KiB at 80x80.
     """
     i, j = np.divmod(np.arange(n * m), m)
     order = np.lexsort((i, i + j))
     rank = np.argsort(order)
     schedule = []
     for entry in _interior_diagonals(n, m):
-        size = len(range(n * m)[entry[0]]) * b  # the run's cells in every item
-        starts = [int(rank[s.start]) * b for s in entry]
-        schedule.append(tuple(slice(p, p + size) for p in starts))
+        size = len(range(n * m)[entry[0]])  # the run's cells in each item
+        schedule.append(tuple(slice(p, p + size) for p in rank[[s.start for s in entry]].tolist()))
     return order, rank[:m].copy(), rank[::m].copy(), tuple(schedule)
 
 
@@ -206,13 +208,13 @@ def _forward_fill(c: np.ndarray, g: float) -> np.ndarray:
         _soft_sweep(d.ravel(), c.ravel(), _interior_diagonals(n, m), g)
         return d
     # A stack is swept in a diagonal-major copy, and its D written back row-major.
-    order, top, side, schedule = _diagonal_major(n, m, len(c))
+    order, top, side, schedule = _diagonal_major(n, m)
     cells = _flat(c)
     cd = cells[order]
     dd = np.empty_like(cd)
     dd[top] = np.cumsum(cells[:m], axis=0)
     dd[side] = np.cumsum(cells[::m], axis=0)
-    _soft_sweep(dd.ravel(), cd.ravel(), schedule, g)
+    _soft_sweep(dd, cd, schedule, g)
     del cd  # the diagonal-major costs go before D is written back
     d = np.empty_like(c)
     _flat(d)[order] = dd
@@ -268,8 +270,7 @@ def _backward_fill(c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[in
             x /= g
             np.exp(np.minimum(x, 0.0, out=x), out=w[:-step])
             del x
-            if cols < m:
-                w.reshape(rows, m)[:, : m - cols] = 0.0
+            w.reshape(rows, m)[:, : m - cols] = 0.0
 
     # Last row and column: the single forced chain into the end corner.
     # E overwrites wv: the chains read wv's last column before writing it,

@@ -135,7 +135,7 @@ def _cmd_align(args):
             raise FloatingPointError(f"float64 overflow aligning {args.x_file} with {args.y_file}")
         return value
 
-    report = [("rows_x", len(x)), ("rows_y", len(y)), ("dim", x.dim), ("gamma", float(args.gamma))]
+    report = [("rows_x", len(x)), ("rows_y", len(y)), ("dim", x.dim), ("gamma", args.gamma)]
     with np.errstate(over="ignore", invalid="ignore"):
         costs = finite(build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y))
         if args.grad is None:
@@ -153,9 +153,16 @@ def _cmd_align(args):
     return 0, report
 
 
+# gradcheck flag -> default, whose type is the flag's type
+_GRADCHECK_FLAGS = {"rows": 8, "cols": 7, "dim": 4, "gamma": 1.0, "seed": 0, "trials": 20,
+                    "fd-tolerance": 1e-5, "oracle-tolerance": 1e-9}
+
+
 def _cmd_gradcheck(args):
     if args.rows < 1 or args.cols < 1 or args.dim < 1 or args.trials < 1:
         raise ValueError("rows, cols, dim and trials must be >= 1")
+    if not (args.fd_tolerance > 0.0 and args.oracle_tolerance > 0.0):  # False for NaN
+        raise ValueError("fd-tolerance and oracle-tolerance must be positive")
     gamma = _check_gamma(args.gamma)
     rng = np.random.default_rng(args.seed)
     run_oracle = path_count(args.rows, args.cols) <= ORACLE_CHECK_PATH_LIMIT
@@ -173,17 +180,8 @@ def _cmd_gradcheck(args):
         worst = {key: max(worst.get(key, 0.0), error) for key, error in errors.items()}
     ok = all(error < (args.oracle_tolerance if "oracle" in key else args.fd_tolerance)
              for key, error in worst.items())
-    report = [
-        ("rows", args.rows),
-        ("cols", args.cols),
-        ("dim", args.dim),
-        ("gamma", float(args.gamma)),
-        ("trials", args.trials),
-        ("oracle_checked", run_oracle),
-        *worst.items(),
-        ("pass", ok),
-    ]
-    return (0 if ok else 2), report
+    settings = [(key, getattr(args, key)) for key in ("rows", "cols", "dim", "gamma", "trials")]
+    return (0 if ok else 2), [*settings, ("oracle_checked", run_oracle), *worst.items(), ("pass", ok)]
 
 
 _EXCERPT_KINDS = ("input", "strong", "score")
@@ -215,7 +213,7 @@ def _cmd_datagen(args):
         ("excerpts", args.excerpts),
         ("frames", args.frames),
         ("polyphony", args.polyphony),
-        ("noise_level", float(args.noise)),
+        ("noise_level", args.noise),
         ("seed", args.seed),
     ]))
     return 0, [("out_dir", directory), ("excerpts", args.excerpts)]
@@ -328,14 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients against the oracle and finite differences")
     p_grad.set_defaults(handler=_cmd_gradcheck)
-    p_grad.add_argument("--rows", type=int, default=8)
-    p_grad.add_argument("--cols", type=int, default=7)
-    p_grad.add_argument("--dim", type=int, default=4)
-    p_grad.add_argument("--gamma", type=float, default=1.0)
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--trials", type=int, default=20)
-    p_grad.add_argument("--fd-tolerance", type=float, default=1e-5)
-    p_grad.add_argument("--oracle-tolerance", type=float, default=1e-9)
+    for flag, default in _GRADCHECK_FLAGS.items():
+        p_grad.add_argument(f"--{flag}", type=type(default), default=default)
 
     p_data = sub.add_parser("datagen", help="write a synthetic dataset to a directory")
     p_data.set_defaults(handler=_cmd_datagen)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ class EvalReport:
     threshold: float = DEFAULT_THRESHOLD
 
 
-@dataclass(frozen=True, eq=False)
-class Reference:
+class Reference(NamedTuple):
     """What the measures read of a reference: the flat indices of its
     positive cells, their count per frame, and a real-valued cosine
     reference with its frame norms (None: the cosine reads the 0/1 cells)."""
@@ -201,8 +201,7 @@ def evaluate(
     overtone targets) while the thresholded counts still compare to the
     roll, pass `prepare_reference(roll, cosine_ref)`.
     """
-    reference = prepare_reference(ref)
-    frames, _ = _checked(pred, reference, "evaluate")
+    frames, reference = _checked(pred, ref, "evaluate")
     pred = object.__new__(_FinitePrediction)
     object.__setattr__(pred, "frames", frames)
     precision, recall, f_measure, accuracy = threshold_metrics(pred, reference, threshold)

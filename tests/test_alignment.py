@@ -654,28 +654,43 @@ class TestDiagonalSchedule:
 
         for n in range(1, 13):
             for m in range(1, 13):
-                order, top, side, schedule = _diagonal_major(n, m, b)
-                # Diagonal-major position p holds cell order[p // b] of item p % b,
-                # with the cells ordered by anti-diagonal, then by row.
+                order, top, side, schedule = _diagonal_major(n, m)
+                # Row p of a diagonal-major (n*m, b) array holds cell order[p]
+                # of every item, with the cells ordered by anti-diagonal, then by row.
                 i, j = np.divmod(order, m)
                 assert sorted(order) == list(range(n * m))
                 assert np.all(np.diff((i + j) * n + i) > 0)
                 assert np.array_equal(order[top], np.arange(m))
                 assert np.array_equal(order[side], np.arange(n) * m)
-                cell, item = np.repeat(order, b), np.tile(np.arange(b), n * m)
+                cell = np.repeat(order[:, None], b, axis=1)
+                item = np.tile(np.arange(b), (n * m, 1))
                 assert len(schedule) == (n + m - 3 if n > 1 and m > 1 else 0)
                 visited = []
                 for k, (cur, diag, up, left) in enumerate(schedule, start=2):
                     assert all(s.step is None for s in (cur, diag, up, left))  # contiguous runs
+                    assert cell[cur].shape == (len(range(n * m)[cur]), b)
                     i, j = np.divmod(cell[cur], m)
                     assert np.all((i >= 1) & (j >= 1) & (i + j == k))
                     for s, (di, dj) in ((diag, (1, 1)), (up, (1, 0)), (left, (0, 1))):
                         pi, pj = np.divmod(cell[s], m)
                         assert np.array_equal(pi, i - di) and np.array_equal(pj, j - dj)
                         assert np.array_equal(item[s], item[cur])
-                    visited.extend(zip(item[cur].tolist(), cell[cur].tolist()))
+                    visited.extend(zip(item[cur].ravel().tolist(), cell[cur].ravel().tolist()))
                 assert sorted(visited) == [(t, i * m + j) for t in range(b) for i in range(1, n) for j in range(1, m)]
-        assert _diagonal_major(7, 5, b) is _diagonal_major(7, 5, b)
+        assert _diagonal_major(7, 5) is _diagonal_major(7, 5)
+
+    def test_diagonal_major_entry_serves_every_batch_size(self):
+        # The schedule depends on the lattice shape alone: stacks of one
+        # padded shape and 2 to 6 items miss the cache once between them.
+        from softalign.alignment import _diagonal_major, _forward_fill, _pack
+
+        rng = np.random.default_rng(9)
+        _diagonal_major.cache_clear()
+        for b in range(2, 7):
+            stack = _pack([rng.random((11, 9))] + [rng.random((11 - t, 9 - t)) for t in range(1, b)])
+            _forward_fill(stack, 1.0)
+        info = _diagonal_major.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
 
     def test_is_an_immutable_tuple_shared_per_shape(self):
         from softalign.alignment import _interior_diagonals
@@ -688,23 +703,26 @@ class TestDiagonalSchedule:
 
     def test_second_training_epoch_adds_no_cache_miss(self, monkeypatch):
         from softalign import training
-        from softalign.alignment import _interior_diagonals
+        from softalign.alignment import _diagonal_major, _interior_diagonals
 
+        caches = (_interior_diagonals, _diagonal_major)
         misses = []
         evaluate_model = training.evaluate_model
 
         def record_misses(*args):
-            misses.append(_interior_diagonals.cache_info().misses)
+            misses.append([cache.cache_info().misses for cache in caches])
             return evaluate_model(*args)
 
         monkeypatch.setattr(training, "evaluate_model", record_misses)
         data = generate_synthetic_dataset(seed=4, excerpt_count=3, frames=24, polyphony=2, noise_level=0.05)
         config = TrainConfig(learning_rate=1.0, epochs=2, batch_excerpts=2, variant=LabelVariant.COLLAPSE_STRETCH)
-        _interior_diagonals.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         train(data, config)
         assert len(misses) == 2
-        assert 0 < misses[0] == misses[1]
-        assert _interior_diagonals.cache_info().hits > 0
+        for first, second in zip(*misses):
+            assert 0 < first == second
+        assert all(cache.cache_info().hits > 0 for cache in caches)
 
 
 def _all_padded_paths(n, m):

@@ -249,6 +249,24 @@ class TestGradcheckCommand:
         assert out == ""
         assert "rows, cols, dim and trials must be >= 1" in err
 
+    @pytest.mark.parametrize("flag", ["--fd-tolerance", "--oracle-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_malformed_tolerance_exits_one_before_any_trial(self, capsys, monkeypatch, flag, value):
+        # NaN fails every comparison, so it would read as a tolerance failure.
+        import softalign.cli
+
+        trials = []
+        monkeypatch.setattr(softalign.cli, "build_cost_matrix", lambda *args: trials.append(args))
+        line = assert_one_error(*run_cli(capsys, "gradcheck", "--trials", "1", f"{flag}={value}"))
+        assert line == "error: fd-tolerance and oracle-tolerance must be positive"
+        assert trials == []
+
+    @pytest.mark.parametrize("flag", ["--fd-tolerance", "--oracle-tolerance"])
+    def test_infinite_tolerance_is_accepted(self, capsys, flag):
+        code, out, _ = run_cli(capsys, "gradcheck", "--rows", "4", "--cols", "4", "--trials", "1", flag, "inf")
+        assert code == 0
+        assert report_dict(out)["pass"] == "true"
+
     def test_impossible_tolerance_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys, "gradcheck", "--rows", "4", "--cols", "4", "--trials", "1",
