@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,8 @@ class SequenceFileError(ValueError):
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
+    if isinstance(value, Enum):
+        return value.value
     return str(value)  # floats print as their shortest exact round-trip
 
 
@@ -63,13 +66,13 @@ def _report_text(report) -> str:
 
 def write_sequence_file(path, matrix) -> None:
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w") as fh:  # a handle: savetxt would gzip a path ending in .gz
+    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a path ending in .gz
         np.savetxt(fh, arr, fmt="%.17g", header=f"{arr.shape[0]} {arr.shape[1]}", comments="")
 
 
 def read_sequence_file(path) -> np.ndarray:
     try:
-        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
     except UnicodeDecodeError as exc:
         raise SequenceFileError(f"{path}: not UTF-8 text") from exc
     if not lines:
@@ -215,7 +218,7 @@ def _cmd_datagen(args):
         ("polyphony", args.polyphony),
         ("noise_level", args.noise),
         ("seed", args.seed),
-    ]))
+    ]), encoding="utf-8")
     return 0, [("out_dir", directory), ("excerpts", args.excerpts)]
 
 
@@ -225,7 +228,8 @@ def _manifest_excerpt_count(directory: Path) -> int | None:
     if not manifest.exists():
         return None
     try:  # a later line for the same key wins
-        fields = dict(line.strip().partition(" ")[::2] for line in manifest.read_text().splitlines())
+        fields = dict(line.strip().partition(" ")[::2]
+                      for line in manifest.read_text(encoding="utf-8").splitlines())
         return int(fields["excerpts"])
     except (KeyError, ValueError) as exc:  # ValueError includes text that is not UTF-8
         raise SequenceFileError(f"{manifest}: missing or malformed 'excerpts' line") from exc
@@ -251,39 +255,34 @@ def _load_dataset(directory: Path) -> list[SyntheticExcerpt]:
     return excerpts
 
 
+# train flag -> (TrainConfig field, report key); the bundled toy config holds the defaults
+_TRAIN_FLAGS = {
+    "variant": ("variant", "variant"), "loss": ("loss_kind", "loss"), "gamma": ("gamma", "gamma"),
+    "lr": ("learning_rate", "learning_rate"), "momentum": ("momentum", "momentum"),
+    "epochs": ("epochs", "epochs"), "seed": ("seed", "seed"), "threshold": ("threshold", "threshold"),
+}
+_TRAIN_DEFAULTS = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNMENT)
+
+
 def _cmd_train(args):
     dataset = (_load_dataset(Path(args.data_dir)) if args.data_dir is not None
                else _generate_dataset(args, args.data_seed))
-    config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        gamma=args.gamma,
-        momentum=args.momentum,
-        seed=args.seed,
-        variant=LabelVariant(args.variant),
-        loss_kind=LossKind(args.loss),
-        threshold=args.threshold,
-    )
+    # each value as its default's type: an enum member from its value
+    config = TrainConfig(**{field: type(getattr(_TRAIN_DEFAULTS, field))(getattr(args, flag))
+                            for flag, (field, _) in _TRAIN_FLAGS.items()})
     model, history = train(dataset, config)
 
     final = history[-1].report
     report = [
         ("tool_version", __version__),
-        ("config.variant", config.variant.value),
-        ("config.loss", config.loss_kind.value),
-        ("config.gamma", config.gamma),
-        ("config.learning_rate", config.learning_rate),
-        ("config.momentum", config.momentum),
-        ("config.epochs", config.epochs),
-        ("config.seed", config.seed),
-        ("config.threshold", config.threshold),
+        *((f"config.{key}", getattr(config, field)) for field, key in _TRAIN_FLAGS.values()),
         ("data.excerpts", len(dataset)),
         ("first_batch_loss", history[0].batch_losses[0]),
         *((f"epoch.{record.epoch}.loss", record.mean_loss) for record in history),
         *((f"final.{name}", value) for name, value in vars(final).items() if name != "threshold"),
     ]
     if args.report is not None:
-        Path(args.report).write_text(_report_text(report))
+        Path(args.report).write_text(_report_text(report), encoding="utf-8")
     if args.model_out is not None:
         # one row per output bin: the input weights followed by the bias
         write_sequence_file(args.model_out, np.hstack([model.weight, model.bias[:, None]]))
@@ -304,12 +303,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser, seed_flag: str) -> None:
-    """The generator's flags, read by `_generate_dataset`."""
-    parser.add_argument(seed_flag, type=int, default=TOY_DATASET_PARAMS["seed"])
-    for flag, param in _GENERATOR_FLAGS.items():
-        default = TOY_DATASET_PARAMS[param]  # its type is the flag's type
-        parser.add_argument(f"--{flag}", type=type(default), default=default)
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """One `--flag` per `flag -> default`, of its default's type; an enum
+    default is given and parsed as its value, one of its members' values."""
+    for flag, default in defaults.items():
+        choices = [member.value for member in type(default)] if isinstance(default, Enum) else None
+        value = default.value if isinstance(default, Enum) else default
+        parser.add_argument(f"--{flag}", type=type(value), default=value, choices=choices)
+
+
+def _dataset_defaults(seed_flag: str) -> dict:
+    """The generator's flags, read by `_generate_dataset`, and their defaults."""
+    return {seed_flag: TOY_DATASET_PARAMS["seed"],
+            **{flag: TOY_DATASET_PARAMS[param] for flag, param in _GENERATOR_FLAGS.items()}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,27 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients against the oracle and finite differences")
     p_grad.set_defaults(handler=_cmd_gradcheck)
-    for flag, default in _GRADCHECK_FLAGS.items():
-        p_grad.add_argument(f"--{flag}", type=type(default), default=default)
+    _add_flags(p_grad, _GRADCHECK_FLAGS)
 
     p_data = sub.add_parser("datagen", help="write a synthetic dataset to a directory")
     p_data.set_defaults(handler=_cmd_datagen)
     p_data.add_argument("--out", required=True)
-    _add_dataset_flags(p_data, "--seed")
+    _add_flags(p_data, _dataset_defaults("seed"))
 
     p_train = sub.add_parser("train", help="train the per-frame model and report metrics")
     p_train.set_defaults(handler=_cmd_train)
-    toy = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNMENT)
-    p_train.add_argument("--variant", default=toy.variant.value, choices=[v.value for v in LabelVariant])
-    p_train.add_argument("--loss", default=toy.loss_kind.value, choices=[k.value for k in LossKind])
-    p_train.add_argument("--gamma", type=float, default=toy.gamma)
-    p_train.add_argument("--lr", type=float, default=toy.learning_rate)
-    p_train.add_argument("--momentum", type=float, default=toy.momentum)
-    p_train.add_argument("--epochs", type=int, default=toy.epochs)
-    p_train.add_argument("--seed", type=int, default=toy.seed)
-    p_train.add_argument("--threshold", type=float, default=toy.threshold)
+    _add_flags(p_train, {flag: getattr(_TRAIN_DEFAULTS, field) for flag, (field, _) in _TRAIN_FLAGS.items()})
     p_train.add_argument("--data-dir", default=None, help="load a datagen directory instead of generating")
-    _add_dataset_flags(p_train, "--data-seed")
+    _add_flags(p_train, _dataset_defaults("data-seed"))
     p_train.add_argument("--report", default=None, help="also write the report to this file")
     p_train.add_argument("--model-out", default=None, help="write final parameters (bias in last column)")
 

@@ -265,7 +265,8 @@ def _validate_config(dataset: list[SyntheticExcerpt], config: TrainConfig) -> No
         raise ConfigError(f"excerpts have mixed input dimensions {sorted(dims)}")
     for i, e in enumerate(dataset):
         if len(e.strong_target) != len(e.input):
-            raise ConfigError("strong targets must have one frame per input frame")
+            raise ConfigError(f"excerpt {i}: strong targets must have one frame per input frame, "
+                              f"found {len(e.strong_target)} for {len(e.input)}")
         # Targets are piano rolls, finite by construction; the training path
         # never re-validates the costs built from the inputs.
         if not np.isfinite(e.input.frames).all():

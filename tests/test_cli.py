@@ -18,11 +18,13 @@ from softalign import (
     FeatureSequence,
     LabelVariant,
     LossKind,
+    TrainConfig,
     brute_force_softdtw,
     build_cost_matrix,
     generate_synthetic_dataset,
     softdtw_gradient,
     toy_config,
+    train,
 )
 from softalign.cli import (
     SequenceFileError,
@@ -48,6 +50,14 @@ def report_dict(out):
         key, _, value = line.partition(" ")
         fields[key] = value
     return fields
+
+
+def run_cli_process(*argv, python_flags=("-X", "dev", "-W", "error"), **env):
+    """Run `python -m softalign.cli` as a shell does, with `env` added to the
+    environment; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(softalign.__file__).resolve().parent.parent), **env)
+    return subprocess.run([sys.executable, *python_flags, "-m", "softalign.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 def assert_one_error(code, out, err):
@@ -464,9 +474,7 @@ class TestFailedCommands:
         roll = np.zeros((3, 72))
         roll[1, 5] = 2.0
         write_sequence_file(ref, roll)
-        env = dict(os.environ, PYTHONPATH=str(Path(softalign.__file__).resolve().parent.parent))
-        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "softalign.cli",
-                               "eval", str(pred), str(ref)], capture_output=True, text=True, env=env)
+        proc = run_cli_process("eval", pred, ref)
         line = assert_one_error(proc.returncode, proc.stdout, proc.stderr)
         assert line == f"error: {ref}: piano roll entries must all be exactly 0 or 1"
 
@@ -572,6 +580,39 @@ class TestCommandTables:
         assert calls == [params]
         assert [type(value) for value in calls[0].values()] == [type(value) for value in params.values()]
 
+    def test_train_settings_reach_the_config_and_the_report(self, capsys, monkeypatch):
+        # every setting away from its default, each float distinct from the others
+        configs = []
+
+        def recording(dataset, config):
+            configs.append(config)
+            return train(dataset, config)
+
+        monkeypatch.setattr("softalign.cli.train", recording)
+        code, out, _ = run_cli(
+            capsys, "train", "--variant", "overtone", "--loss", "l2", "--gamma", "3.5", "--lr", "0.5",
+            "--momentum", "0.25", "--epochs", "2", "--seed", "7", "--threshold", "0.3",
+            "--excerpts", "2", "--frames", "20",
+        )
+        expected = TrainConfig(learning_rate=0.5, epochs=2, gamma=3.5, momentum=0.25, seed=7,
+                               variant=LabelVariant.OVERTONE, loss_kind=LossKind.PER_FRAME_L2, threshold=0.3)
+        assert code == 0
+        assert configs == [expected]
+        assert [type(value) for value in vars(configs[0]).values()] == [
+            type(value) for value in vars(expected).values()
+        ]
+        assert out.splitlines()[:9] == [
+            f"tool_version {softalign.__version__}",
+            "config.variant overtone",
+            "config.loss l2",
+            "config.gamma 3.5",
+            "config.learning_rate 0.5",
+            "config.momentum 0.25",
+            "config.epochs 2",
+            "config.seed 7",
+            "config.threshold 0.3",
+        ]
+
     @pytest.mark.parametrize("command, text", [("datagen", DATAGEN_HELP), ("train", TRAIN_HELP)])
     def test_help_text_is_unchanged(self, capsys, monkeypatch, command, text):
         monkeypatch.setenv("COLUMNS", "80")
@@ -645,6 +686,14 @@ class TestDatasetDirectory:
         line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1"))
         assert line.startswith(f"error: {path}: ") and message in line
 
+    def test_short_strong_roll_names_its_excerpt_and_both_lengths(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--excerpts", "2", "--frames", "20")
+        path = out_dir / "excerpt_001_strong.txt"
+        write_sequence_file(path, read_sequence_file(path)[:-2])
+        line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(out_dir), "--epochs", "1"))
+        assert line == "error: excerpt 1: strong targets must have one frame per input frame, found 18 for 20"
+
     @settings(max_examples=80, deadline=None)
     @given(
         name=st.sampled_from(sorted(excerpt_names(3)) + ["dataset.txt"]),
@@ -681,3 +730,29 @@ class TestDatasetDirectory:
             assert out.getvalue() == ""
             [line] = err.getvalue().splitlines()
             assert line.startswith("error: ") and name in line
+
+
+class TestUtf8WhateverTheLocale:
+    def test_utf8_file_parses_under_the_c_locale(self, tmp_path):
+        # a no-break space separates the values: UTF-8 bytes that ASCII cannot decode
+        path = tmp_path / "nbsp.txt"
+        path.write_bytes("1 2\n1.5\u00a02\n".encode("utf-8"))
+        proc = run_cli_process("align", path, path, python_flags=("-X", "utf8=0", "-X", "dev", "-W", "error"),
+                               LC_ALL="C")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert report_dict(proc.stdout)["softdtw_cost"] == "0.0"
+
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path):
+        # every text file the commands read or write, under EncodingWarning as an error
+        data = tmp_path / "data"
+        flags = ("-X", "dev", "-X", "warn_default_encoding", "-W", "error")
+        for argv in [
+            ("datagen", "--out", data, "--excerpts", "2", "--frames", "20"),
+            ("train", "--data-dir", data, "--epochs", "1", "--report", tmp_path / "r.txt",
+             "--model-out", tmp_path / "m.txt"),
+            ("align", "--grad", tmp_path / "g.txt",
+             data / "excerpt_000_input.txt", data / "excerpt_001_input.txt"),
+            ("eval", data / "excerpt_000_input.txt", data / "excerpt_000_strong.txt"),
+        ]:
+            proc = run_cli_process(*argv, python_flags=flags)
+            assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 0, "")

@@ -659,7 +659,8 @@ class TestTrain:
         (dict(loss_kind="softdtw"), None, "loss_kind must be a LossKind"),
         (dict(loss_kind="l2", variant=LabelVariant.OVERTONE), None, "loss_kind must be a LossKind"),
         ({}, lambda e: dict(input=FeatureSequence(e.input.frames[:, :10])), "mixed input dimensions"),
-        ({}, lambda e: dict(strong_target=PianoRoll(e.strong_target.frames[:-1])), "one frame per input"),
+        ({}, lambda e: dict(strong_target=PianoRoll(e.strong_target.frames[:-1])),
+         r"^excerpt 0: .*one frame per input"),
     ])
     def test_bad_config_or_dataset_rejected_before_training(self, mini_data, changes, mangle, message):
         cfg = TrainConfig(**(dict(learning_rate=1.0, epochs=1) | changes))
