@@ -26,8 +26,6 @@ from .alignment import (
 from .cost import CostKind, build_cost_matrix
 from .targets import (
     LabelVariant,
-    MissingScoreError,
-    MissingStrongError,
     ShrinkNotSupportedError,
     apply_overtones,
     collapse_durations,

@@ -201,12 +201,15 @@ def _excerpt_file(directory: Path, index: int, kind: str) -> Path:
     return directory / f"excerpt_{index:03d}_{kind}.txt"
 
 
-def _generate_dataset(args, seed: int) -> list[SyntheticExcerpt]:
-    return generate_synthetic_dataset(seed=seed, **{p: getattr(args, f) for f, p in _GENERATOR_FLAGS.items()})
+def _generate_dataset(args, seed_flag: str) -> list[SyntheticExcerpt]:
+    # a dataset flag that train was not given is absent from its args: the toy value stands
+    flags = {seed_flag: "seed", **_GENERATOR_FLAGS}
+    return generate_synthetic_dataset(**{param: getattr(args, flag, TOY_DATASET_PARAMS[param])
+                                         for flag, param in flags.items()})
 
 
 def _cmd_datagen(args):
-    dataset = _generate_dataset(args, args.seed)
+    dataset = _generate_dataset(args, "seed")
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     for i, excerpt in enumerate(dataset):
@@ -265,8 +268,11 @@ _TRAIN_DEFAULTS = toy_config(LabelVariant.COLLAPSE_STRETCH, LossKind.SOFT_ALIGNM
 
 
 def _cmd_train(args):
+    given = [f"--{flag}" for flag in _dataset_defaults("data-seed") if hasattr(args, flag.replace("-", "_"))]
+    if args.data_dir is not None and given:  # a dataset directory brings its own data
+        raise ValueError(f"{', '.join(given)} not allowed with --data-dir")
     dataset = (_load_dataset(Path(args.data_dir)) if args.data_dir is not None
-               else _generate_dataset(args, args.data_seed))
+               else _generate_dataset(args, "data_seed"))
     # each value as its default's type: an enum member from its value
     config = TrainConfig(**{field: type(getattr(_TRAIN_DEFAULTS, field))(getattr(args, flag))
                             for flag, (field, _) in _TRAIN_FLAGS.items()})
@@ -303,13 +309,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> list[argparse.Action]:
     """One `--flag` per `flag -> default`, of its default's type; an enum
-    default is given and parsed as its value, one of its members' values."""
+    default is given and parsed as its value, one of its members' values.
+    Returns the flags' actions."""
+    actions = []
     for flag, default in defaults.items():
         choices = [member.value for member in type(default)] if isinstance(default, Enum) else None
         value = default.value if isinstance(default, Enum) else default
-        parser.add_argument(f"--{flag}", type=type(value), default=value, choices=choices)
+        actions.append(parser.add_argument(f"--{flag}", type=type(value), default=value, choices=choices))
+    return actions
 
 
 def _dataset_defaults(seed_flag: str) -> dict:
@@ -343,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(handler=_cmd_train)
     _add_flags(p_train, {flag: getattr(_TRAIN_DEFAULTS, field) for flag, (field, _) in _TRAIN_FLAGS.items()})
     p_train.add_argument("--data-dir", default=None, help="load a datagen directory instead of generating")
-    _add_flags(p_train, _dataset_defaults("data-seed"))
+    for action in _add_flags(p_train, _dataset_defaults("data-seed")):
+        action.default = argparse.SUPPRESS  # absent unless given, so that _cmd_train can refuse it
     p_train.add_argument("--report", default=None, help="also write the report to this file")
     p_train.add_argument("--model-out", default=None, help="write final parameters (bias in last column)")
 

@@ -17,14 +17,6 @@ import numpy as np
 from .core import PITCH_COUNT, FeatureSequence, PianoRoll, _owned_sequence
 
 
-class MissingStrongError(ValueError):
-    """Raised when a variant needs a strongly aligned roll that was not given."""
-
-
-class MissingScoreError(ValueError):
-    """Raised when a variant needs a score roll that was not given."""
-
-
 class ShrinkNotSupportedError(ValueError):
     """Raised when a stretch target length is shorter than the input roll."""
 
@@ -96,28 +88,20 @@ def apply_overtones(roll: PianoRoll) -> FeatureSequence:
 
 
 def make_variant(
-    variant: LabelVariant,
-    strong_roll: PianoRoll | None = None,
-    score_roll: PianoRoll | None = None,
-    input_len: int | None = None,
+    variant: LabelVariant, strong_roll: PianoRoll, score_roll: PianoRoll, input_len: int
 ) -> PianoRoll | FeatureSequence:
-    """Build the training target for one excerpt under the given variant."""
+    """Build the training target for one excerpt under the given variant.
+
+    The score variants (w3, w4) start from `score_roll`, the others from
+    `strong_roll`; the stretched ones (w2, w4) stretch to `input_len` frames.
+    """
     if not isinstance(variant, LabelVariant):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant in (LabelVariant.SCORE, LabelVariant.SCORE_STRETCH):
-        if score_roll is None:
-            raise MissingScoreError(f"variant {variant.value} needs a score roll")
-        roll = score_roll
-    else:
-        if strong_roll is None:
-            raise MissingStrongError(f"variant {variant.value} needs a strongly aligned roll")
-        roll = strong_roll
+    roll = score_roll if variant in (LabelVariant.SCORE, LabelVariant.SCORE_STRETCH) else strong_roll
     if variant is LabelVariant.OVERTONE:
         return apply_overtones(roll)
     if variant in (LabelVariant.COLLAPSE, LabelVariant.COLLAPSE_STRETCH):
         roll = collapse_durations(roll)
     if variant in (LabelVariant.COLLAPSE_STRETCH, LabelVariant.SCORE_STRETCH):
-        if input_len is None:
-            raise ValueError(f"variant {variant.value} needs the input length to stretch to")
         roll = stretch_to_length(roll, input_len)
     return roll

@@ -292,16 +292,16 @@ def _strong_reference(dataset: list[SyntheticExcerpt], cosine_ref=None) -> Refer
 def evaluate_model(
     model: LinearModel,
     dataset: list[SyntheticExcerpt],
-    threshold: float = DEFAULT_THRESHOLD,
-    reference: Reference | None = None,
+    threshold: float,
+    reference: Reference,
     out: np.ndarray | None = None,
 ) -> EvalReport:
     """Evaluate predictions against the strongly aligned annotations.
 
     Excerpts are concatenated (micro-averaging). `reference` is the
     `prepare_reference` of the concatenated strong rolls, which `train`
-    builds once per run; None prepares it here, with the binary rolls as
-    the cosine reference. Raises TypeError for anything else, and
+    builds once per run. Raises TypeError for anything but a prepared
+    Reference (a sequence would be thresholded as its own reference), and
     ValueError for an empty dataset. `out`, a writable float64 array with
     one row per frame of the dataset and 72 columns, receives the
     predictions when given; they are read through a read-only view that
@@ -309,10 +309,8 @@ def evaluate_model(
     """
     if not dataset:
         raise ValueError("evaluate_model needs a non-empty dataset")
-    if reference is None:
-        reference = _strong_reference(dataset)
-    elif not isinstance(reference, Reference):
-        raise TypeError(f"reference must be a prepared Reference or None, not {type(reference).__name__}")
+    if not isinstance(reference, Reference):
+        raise TypeError(f"reference must be a prepared Reference, not {type(reference).__name__}")
     preds = _owned_sequence(_concatenated_forward(model, [e.input for e in dataset], out).view())
     return evaluate(preds, reference, threshold)
 
@@ -443,6 +441,7 @@ def generate_synthetic_dataset(
     ratios r_i evenly spaced from 0.6 to 1.0 over the excerpts. Score
     tempos thus differ from the input's, and a score roll never exceeds
     the input length (keeps the stretched variants well defined).
+    Raises ValueError for a noise_level whose noise overflows float64.
     """
     try:
         valid = min(map(operator.index, (excerpt_count, frames, polyphony))) >= 1
@@ -476,7 +475,10 @@ def generate_synthetic_dataset(
         score = PianoRoll(np.repeat(chords, durs, axis=0))
 
         clean = apply_overtones(strong).frames
-        noisy = clean + noise_level * rng.standard_normal(clean.shape)
+        with np.errstate(over="ignore"):  # refused just below, under any warning filter
+            noisy = clean + noise_level * rng.standard_normal(clean.shape)
+        if not np.isfinite(noisy).all():
+            raise ValueError(f"noise_level {noise_level!r} overflows float64 inputs")
         excerpts.append(
             SyntheticExcerpt(
                 input=FeatureSequence(noisy), strong_target=strong, score_target=score

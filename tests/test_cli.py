@@ -331,12 +331,34 @@ class TestDatagenTrainEvalPipeline:
         assert report_file.read_bytes() == out.encode()
         assert read_sequence_file(model_file).shape == (72, 73)
 
-    @pytest.mark.parametrize("noise", ["nan", "inf"])
-    def test_datagen_rejects_non_finite_noise(self, tmp_path, capsys, noise):
+    @pytest.mark.parametrize("noise, message", [
+        ("nan", "noise_level must be finite"),
+        ("inf", "noise_level must be finite"),
+        ("1e308", "noise_level 1e+308 overflows float64"),  # finite, but its noise is not
+    ])
+    def test_datagen_rejects_non_finite_noise(self, tmp_path, capsys, noise, message):
         out_dir = tmp_path / "data"
         line = assert_one_error(*run_cli(capsys, "datagen", "--out", str(out_dir), "--noise", noise))
-        assert "noise_level must be finite" in line
+        assert message in line
         assert not out_dir.exists()
+
+    def test_train_rejects_overflowing_noise_under_warnings_as_errors(self):
+        # out of process under -X dev -W error, where the overflow warning would escape main
+        proc = run_cli_process("train", "--noise", "1e308", "--excerpts", "1", "--frames", "8", "--epochs", "1")
+        line = assert_one_error(proc.returncode, proc.stdout, proc.stderr)
+        assert line == "error: noise_level 1e+308 overflows float64 inputs"
+
+    # --excerpts is given at its default value: a given flag is refused whatever its value
+    @pytest.mark.parametrize("flag, value", [
+        ("--data-seed", "99"), ("--excerpts", str(TOY_DATASET_PARAMS["excerpt_count"])),
+        ("--frames", "10"), ("--polyphony", "2"), ("--noise", "0.5"),
+    ])
+    def test_train_refuses_dataset_flags_with_data_dir(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "data"
+        run_cli(capsys, "datagen", "--out", str(out_dir), "--excerpts", "2", "--frames", "12")
+        line = assert_one_error(*run_cli(capsys, "train", "--data-dir", str(out_dir), flag, value,
+                                         "--epochs", "1"))
+        assert line == f"error: {flag} not allowed with --data-dir"
 
     def test_train_defaults_are_the_bundled_toy_config(self):
         args = build_parser().parse_args(["train"])

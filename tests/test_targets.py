@@ -9,8 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from softalign import (
     LabelVariant,
-    MissingScoreError,
-    MissingStrongError,
     PianoRoll,
     ShrinkNotSupportedError,
     apply_overtones,
@@ -178,36 +176,31 @@ class TestApplyOvertones:
 class TestMakeVariant:
     def test_strong_is_identity(self):
         roll = roll_from_symbols("aabc")
-        out = make_variant(LabelVariant.STRONG, strong_roll=roll)
+        out = make_variant(LabelVariant.STRONG, strong_roll=roll, score_roll=roll_from_symbols("cb"),
+                           input_len=len(roll))
         assert np.array_equal(out.frames, roll.frames)
 
     def test_collapse_then_stretch_composition(self):
         roll = roll_from_symbols("aab")
-        out = make_variant(LabelVariant.COLLAPSE_STRETCH, strong_roll=roll, input_len=4)
+        out = make_variant(LabelVariant.COLLAPSE_STRETCH, strong_roll=roll, score_roll=roll_from_symbols("c"),
+                           input_len=4)
         assert symbols_of(out) == symbols_of(roll_from_symbols("aabb"))
 
     def test_score_variants(self):
         strong = roll_from_symbols("aabb")
         score = roll_from_symbols("ab")
-        as_is = make_variant(LabelVariant.SCORE, score_roll=score)
+        as_is = make_variant(LabelVariant.SCORE, strong_roll=strong, score_roll=score, input_len=len(strong))
         assert np.array_equal(as_is.frames, score.frames)
-        stretched = make_variant(LabelVariant.SCORE_STRETCH, score_roll=score, input_len=len(strong))
+        stretched = make_variant(LabelVariant.SCORE_STRETCH, strong_roll=strong, score_roll=score,
+                                 input_len=len(strong))
         assert len(stretched) == 4
 
     def test_overtone_variant_yields_real_sequence(self):
         roll = roll_from_symbols("ab")
-        out = make_variant(LabelVariant.OVERTONE, strong_roll=roll)
+        out = make_variant(LabelVariant.OVERTONE, strong_roll=roll, score_roll=roll_from_symbols("c"),
+                           input_len=len(roll))
         assert out.frames.shape == (2, 72)
         assert out.frames.max() == 1.0
-
-    def test_missing_inputs_rejected(self):
-        roll = roll_from_symbols("ab")
-        with pytest.raises(MissingStrongError):
-            make_variant(LabelVariant.COLLAPSE, score_roll=roll)
-        with pytest.raises(MissingScoreError):
-            make_variant(LabelVariant.SCORE, strong_roll=roll)
-        with pytest.raises(ValueError):
-            make_variant(LabelVariant.COLLAPSE_STRETCH, strong_roll=roll)
 
     @pytest.mark.parametrize("variant", ["strong", "overtone", None])
     def test_non_member_variant_rejected(self, variant):
@@ -219,6 +212,7 @@ class TestMakeVariant:
     def test_variant_length_ordering(self, symbols, extra):
         roll = roll_from_symbols(symbols)
         input_len = len(roll) + extra
-        w1 = make_variant(LabelVariant.COLLAPSE, strong_roll=roll)
-        w2 = make_variant(LabelVariant.COLLAPSE_STRETCH, strong_roll=roll, input_len=input_len)
+        w1 = make_variant(LabelVariant.COLLAPSE, strong_roll=roll, score_roll=roll, input_len=input_len)
+        w2 = make_variant(LabelVariant.COLLAPSE_STRETCH, strong_roll=roll, score_roll=roll,
+                          input_len=input_len)
         assert len(w1) <= len(w2) == input_len

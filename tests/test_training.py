@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from softalign import (
     train,
 )
 from softalign.cli import norm_rel_err
-from softalign.training import MAX_RUN, MIN_RUN, _sigmoid
+from softalign.training import MAX_RUN, MIN_RUN, _sigmoid, _strong_reference
 
 
 def small_model(d_in, seed=0):
@@ -80,7 +81,7 @@ class TestModelForward:
         with pytest.raises(DimensionMismatchError):
             model_forward(model, data[-1].input)
         with pytest.raises(DimensionMismatchError):
-            evaluate_model(model, data)
+            evaluate_model(model, data, 0.4, _strong_reference(data))
 
 
 def _two_branch_sigmoid(x):
@@ -387,13 +388,24 @@ class TestGenerateSyntheticDataset:
             assert np.array_equal(ea.input.frames, eb.input.frames)
             assert np.array_equal(ea.score_target.frames, eb.score_target.frames)
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_noise_level_that_overflows_rejected_under_any_warning_filter(self, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^noise_level 1e\+308 overflows float64"):
+                generate_synthetic_dataset(seed=0, excerpt_count=1, frames=8, polyphony=2, noise_level=1e308)
+            # a huge level whose noise stays finite is kept
+            [e] = generate_synthetic_dataset(seed=0, excerpt_count=1, frames=8, polyphony=2, noise_level=1e300)
+        assert np.isfinite(e.input.frames).all()
+
     def test_toy_score_tempo_differs_from_input(self):
         # the stretched score variant (w4) must not repeat the plain one (w3)
         differ = []
         for e in toy_dataset():
-            w3 = make_variant(LabelVariant.SCORE, score_roll=e.score_target)
-            w4 = make_variant(LabelVariant.SCORE_STRETCH, score_roll=e.score_target,
+            w3 = make_variant(LabelVariant.SCORE, strong_roll=e.strong_target, score_roll=e.score_target,
                               input_len=len(e.input))
+            w4 = make_variant(LabelVariant.SCORE_STRETCH, strong_roll=e.strong_target,
+                              score_roll=e.score_target, input_len=len(e.input))
             differ.append(not np.array_equal(w3.frames, w4.frames))
         assert any(differ)
 
@@ -605,13 +617,10 @@ class TestTrain:
         want = evaluate(preds, prepare_reference(rolls, cosine_ref), 0.4)
         assert evaluate_model(model, mini_data, 0.4, prepare_reference(rolls, cosine_ref)) == want
 
-    def test_evaluate_model_takes_a_prepared_reference_or_none(self, mini_data):
-        # None prepares the binary strong rolls; an unprepared sequence is
-        # refused rather than read as the reference itself.
+    def test_evaluate_model_refuses_an_unprepared_reference(self, mini_data):
+        # an unprepared sequence is refused rather than read as the reference itself
         model = small_model(mini_data[0].input.dim, seed=8)
         rolls = PianoRoll(np.concatenate([e.strong_target.frames for e in mini_data]))
-        assert evaluate_model(model, mini_data) == evaluate_model(model, mini_data, 0.4,
-                                                                 prepare_reference(rolls))
         overtones = FeatureSequence(apply_overtones(rolls).frames)
         for bad in (rolls, overtones):
             with pytest.raises(TypeError, match="Reference"):
@@ -780,7 +789,9 @@ class TestPredictionBuffer:
         excerpts, _ = batch
         model = small_model(5)
         buffer = np.full((sum(len(e.input) for e in excerpts), 72), np.nan)
-        assert evaluate_model(model, excerpts, 0.4, None, buffer) == evaluate_model(model, excerpts)
+        reference = _strong_reference(excerpts)
+        fresh = evaluate_model(model, excerpts, 0.4, reference)
+        assert evaluate_model(model, excerpts, 0.4, reference, buffer) == fresh
         assert np.array_equal(buffer, np.concatenate([model_forward(model, e.input).frames
                                                       for e in excerpts]))
         assert buffer.flags.writeable
@@ -817,8 +828,6 @@ class TestPredictionBuffer:
         # one step's own arrays plus targets, reference and buffer, and its
         # later epochs add nothing; a second prediction-sized block at the
         # step (138 KiB here) would exceed the 64 KiB tolerance.
-        from softalign.training import _strong_reference
-
         rng = np.random.default_rng(12)
         data = []
         for _ in range(6):
@@ -846,7 +855,7 @@ class TestPredictionBuffer:
         frames = sum(len(e.input) for e in mini_data)
         for bad in (np.empty((frames + 1, 72)), np.empty((frames, 71)), np.empty((frames, 72), np.float32)):
             with pytest.raises(ValueError, match="out must be a float64 array"):
-                evaluate_model(model, mini_data, 0.4, None, bad)
+                evaluate_model(model, mini_data, 0.4, _strong_reference(mini_data), bad)
             with pytest.raises(ValueError, match="out must be a float64 array"):
                 softdtw_loss_and_grads(model, [e.input for e in mini_data],
                                        [e.strong_target for e in mini_data], 10.0, LossNormalizer(),
@@ -854,4 +863,4 @@ class TestPredictionBuffer:
 
     def test_evaluate_model_rejects_an_empty_dataset(self):
         with pytest.raises(ValueError, match="evaluate_model needs a non-empty dataset"):
-            evaluate_model(small_model(5), [])
+            evaluate_model(small_model(5), [], 0.4, prepare_reference(PianoRoll(np.zeros((1, 72)))))
