@@ -41,15 +41,23 @@ row-major stack, and every cell keeps the bits of the row-major sweep.
 For the backward pass items sit in the end corner, so the turned sweep
 starts at each item's own (n_b-1, m_b-1). Its transition weights are
 built one item at a time over the item's band, its own n_b rows of the
-stack, so their temporary is one band, not one stack. Weights that leave
-a padding cell weigh exactly 0, which keeps E at 0 there instead of
-letting it grow without bound: those above a band are never written, and
-only the band's padding columns are set to 0. `_costs_and_gradients`
-pairs the two passes for every caller. It consumes the list of lattices
-it is given, as the backward pass consumes D: the list is emptied as soon
-as the start-aligned stack is packed, and the end-aligned costs are made
-from that stack, so the forward phase holds at most three stacks and the
-backward pass's four stacks and one band stay the peak.
+stack, in an order that holds C, D, two weight arrays and one small
+block at most: first the vertical weights, through one band-sized
+exponent temporary that is freed before the horizontal weights are
+allocated; then the horizontal ones, in place; then the diagonal ones,
+written over D in ascending blocks of at most 2^16 cells through one
+scratch buffer. A 2048x2048 gradient so peaks at 128.5 MiB, C included.
+The vertical exponent stays in one piece, as freeing its lattice-sized
+temporary keeps glibc serving the next request's large inputs from
+memory already faulted in. Weights that leave a padding cell weigh
+exactly 0, which keeps E at 0 there instead of letting it grow without
+bound: those above a band are never written, and the padding columns are
+set to 0. `_costs_and_gradients` pairs the two passes for every caller.
+It consumes the list of lattices it is given, as the backward pass
+consumes D: the list is emptied as soon as the start-aligned stack is
+packed, and the end-aligned costs are made from that stack, so the
+forward phase holds at most three stacks and the backward pass's four
+stacks and one block stay the peak.
 A single lattice is a batch of one, which is never stacked, and is swept
 row-major, as is the backward pass: on flat views with the cell position
 first, (N*M,) for one lattice and (N*M, B) for a stack, one body with
@@ -67,6 +75,10 @@ import numpy as np
 from .core import as_cost_matrix
 
 PATH_ENUMERATION_LIMIT = 10**6
+
+# Cells per block of the diagonal weights that the backward pass writes over
+# D, through one scratch buffer of 2**16 float64 values (512 KiB) at most.
+_WEIGHT_BLOCK = 1 << 16
 
 
 class TooManyPathsError(ValueError):
@@ -239,6 +251,26 @@ def softdtw_forward(costs, gamma: float) -> SoftDtwResult:
     return SoftDtwResult(cost=float(d[-1, -1]), accumulated=d)
 
 
+def _bands(shapes: list[tuple[int, int]], *arrays: np.ndarray):
+    # Each item's band, its own rows of an end-aligned stack (all of a
+    # single lattice), as one slice of each array's flat view.
+    n, m = arrays[0].shape[-2:]
+    flats = [a.reshape(-1) for a in arrays]
+    for b, (rows, _) in enumerate(shapes):
+        band = slice((b * n + n - rows) * m, (b + 1) * n * m)
+        yield [f[band] for f in flats]
+
+
+def _exponent(x: np.ndarray, cb: np.ndarray, db: np.ndarray, step: int, g: float, first: int = 0) -> np.ndarray:
+    # min((D(succ) - C(succ) - D(cell)) / g, 0) into x, for the len(x) cells
+    # of a band from `first` on, whose successors lie `step` cells further.
+    succ = slice(first + step, first + step + len(x))
+    np.subtract(db[succ], cb[succ], out=x)
+    x -= db[first : first + len(x)]
+    x /= g
+    return np.minimum(x, 0.0, out=x)
+
+
 def _backward_fill(c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[int, int]]) -> np.ndarray:
     # c and d are one (N, M) lattice, or an end-aligned stack from `_pack`,
     # with items of the given `shapes`. Transition weights are indexed by the
@@ -248,29 +280,43 @@ def _backward_fill(c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[in
     # successor's update. The exponent is clamped to <= 0 so each weight
     # lies in [0, 1]: float jitter on the forced border chains at small gamma
     # can make it positive, and on large costs at tiny gamma large enough to
-    # overflow exp. The weights are built one item at a time over its band,
-    # its own rows of the end-aligned stack (all of a single lattice). A
-    # band is contiguous, so the successor lies `step` cells on in its flat
+    # overflow exp. The weights are built one item at a time over its band.
+    # A band is contiguous, so the successor lies `step` cells on in its flat
     # view; steps off the band wrap into the next row or end there and are
     # never read. Weights leaving padding cells must be exactly 0, or E
     # would grow there like the path counts and overflow on wide padding:
     # rows above a band are never written (zeros, in D as `_pack` made
-    # them), and the band's padding columns are set to 0. The pass never
-    # writes `c` but consumes `d`: an item's wd, built last, goes over its
-    # D, as each exponent is complete in its one band-sized temporary before
-    # exp writes it out; E goes over wv.
+    # them), and the padding columns are set to 0.
+    #
+    # The pass never writes `c` but consumes `d`. It holds C, D, two weight
+    # arrays and one small block at most (128.5 MiB for a 2048x2048
+    # lattice, C included): wv comes first, through one band-sized exponent
+    # temporary that is freed before wh is allocated; wh's exponent is
+    # built in place in wh; wd goes over D in ascending blocks of at most
+    # _WEIGHT_BLOCK cells through one scratch buffer, as a block's exponent
+    # reads D only at and after its own cells. E then goes over wv. The
+    # vertical exponent stays in one piece: at 2048x2048 it is just under
+    # 32 MiB, and freeing it raises glibc's mmap threshold, so the next
+    # request's large inputs come from memory already faulted in. Built in
+    # blocks too, it left the peak as it is and slowed that set-up.
     n, m = c.shape[-2:]
-    wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), d
-    stacks = [a.reshape(-1, n, m) for a in (c, d, wv, wh, wd)]
-    for b, (rows, cols) in enumerate(shapes):
-        cb, db, *ws = (a[b, n - rows :].reshape(-1) for a in stacks)
-        for w, step in zip(ws, (m, 1, m + 1)):
-            x = db[step:] - cb[step:]
-            x -= db[:-step]
-            x /= g
-            np.exp(np.minimum(x, 0.0, out=x), out=w[:-step])
-            del x
-            w.reshape(rows, m)[:, : m - cols] = 0.0
+    wv = np.zeros(c.shape)
+    for cb, db, w in _bands(shapes, c, d, wv):
+        np.exp(_exponent(np.empty(len(db) - m), cb, db, m, g), out=w[:-m])
+    wh = np.zeros(c.shape)
+    for cb, db, w in _bands(shapes, c, d, wh):
+        np.exp(_exponent(w[:-1], cb, db, 1, g), out=w[:-1])
+    scratch = np.empty(min(_WEIGHT_BLOCK, max(0, (n - 1) * m - 1)))  # at most a full band's count
+    for cb, db in _bands(shapes, c, d):
+        count = len(db) - m - 1  # the band's cells with a diagonal weight
+        for first in range(0, count, _WEIGHT_BLOCK):
+            stop = min(first + _WEIGHT_BLOCK, count)
+            np.exp(_exponent(scratch[: stop - first], cb, db, m + 1, g, first), out=db[first:stop])
+    del scratch  # off the sweep's peak
+    if c.ndim == 3:  # a single lattice has no padding
+        for w in (wv, wh, d):
+            for item, (rows, cols) in zip(w, shapes):
+                item[n - rows :, : m - cols] = 0.0
 
     # Last row and column: the single forced chain into the end corner.
     # E overwrites wv: the chains read wv's last column before writing it,
@@ -282,7 +328,7 @@ def _backward_fill(c: np.ndarray, d: np.ndarray, g: float, shapes: list[tuple[in
     # Read back to front, the lattice is turned by 180 degrees: each cell's
     # down, right and diagonal successors become its up, left and diagonal
     # predecessors, so the forward sweep applies unchanged.
-    ef, vf, hf, df = (_flat(a)[::-1] for a in (e, wv, wh, wd))
+    ef, vf, hf, df = (_flat(a)[::-1] for a in (e, wv, wh, d))
     for cur, diag, up, left in _interior_diagonals(n, m):
         ef[cur] = vf[cur] * ef[up] + hf[cur] * ef[left] + df[cur] * ef[diag]
     return np.clip(e, 0.0, 1.0, out=e)

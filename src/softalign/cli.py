@@ -8,7 +8,8 @@ infinity tokens are rejected on read.
 Reports are flat `key value` lines on stdout, written once the command has
 succeeded. A command that fails writes nothing to stdout and one `error:`
 line to stderr, after the usage text for a usage error; `align` reports a
-float64 overflow as such an error.
+float64 overflow as such an error, and `train` and `gradcheck` a gamma at
+which soft-DTW overflows float64.
 Exit codes: 0 success, 1 usage, parse or overflow error, 2 tolerance failure.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
 from enum import Enum
 from pathlib import Path
 
@@ -128,6 +130,22 @@ def finite_difference_gradient(costs: np.ndarray, gamma: float) -> np.ndarray:
     return grad
 
 
+@contextmanager
+def _gamma_in_range(gamma: float):
+    """Raise one FloatingPointError naming gamma, under any warning filter,
+    where the soft-DTW arithmetic inside overflows float64 or turns invalid.
+
+    At a huge gamma D itself overflows; at a tiny one a cost difference
+    divided by gamma overflows, and the weight it makes is decided by
+    rounding, so the gradient has lost its digits.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"gamma {gamma!r} takes soft-DTW out of float64's range: {exc}") from None
+
+
 def _cmd_align(args):
     x = _read_as(FeatureSequence, args.x_file)
     y = _read_as(FeatureSequence, args.y_file)
@@ -174,12 +192,13 @@ def _cmd_gradcheck(args):
         x = FeatureSequence(rng.standard_normal((args.rows, args.dim)))
         y = FeatureSequence(rng.standard_normal((args.cols, args.dim)))
         costs = build_cost_matrix(CostKind.SQUARED_EUCLIDEAN, x, y)
-        [dp_cost], [grad] = _costs_and_gradients([costs], gamma)
-        errors = {"max_rel_err_fd": norm_rel_err(grad, finite_difference_gradient(costs, args.gamma))}
-        if run_oracle:
-            oracle_cost, oracle_grad = brute_force_softdtw(costs, args.gamma)
-            errors["max_rel_err_oracle_cost"] = abs(dp_cost - oracle_cost) / max(abs(oracle_cost), 1e-300)
-            errors["max_rel_err_oracle_grad"] = norm_rel_err(grad, oracle_grad)
+        with _gamma_in_range(args.gamma):  # overflow would leave NaN errors, which max() drops
+            [dp_cost], [grad] = _costs_and_gradients([costs], gamma)
+            errors = {"max_rel_err_fd": norm_rel_err(grad, finite_difference_gradient(costs, args.gamma))}
+            if run_oracle:
+                oracle_cost, oracle_grad = brute_force_softdtw(costs, args.gamma)
+                errors["max_rel_err_oracle_cost"] = abs(dp_cost - oracle_cost) / max(abs(oracle_cost), 1e-300)
+                errors["max_rel_err_oracle_grad"] = norm_rel_err(grad, oracle_grad)
         worst = {key: max(worst.get(key, 0.0), error) for key, error in errors.items()}
     ok = all(error < (args.oracle_tolerance if "oracle" in key else args.fd_tolerance)
              for key, error in worst.items())
@@ -276,7 +295,10 @@ def _cmd_train(args):
     # each value as its default's type: an enum member from its value
     config = TrainConfig(**{field: type(getattr(_TRAIN_DEFAULTS, field))(getattr(args, flag))
                             for flag, (field, _) in _TRAIN_FLAGS.items()})
-    model, history = train(dataset, config)
+    # Only the soft-DTW loss reads gamma. Its costs are bounded (model
+    # outputs and targets lie in [0, 1]), so a float64 overflow there is gamma's.
+    with _gamma_in_range(config.gamma) if config.loss_kind is LossKind.SOFT_ALIGNMENT else nullcontext():
+        model, history = train(dataset, config)
 
     final = history[-1].report
     report = [

@@ -426,9 +426,14 @@ class TestBackwardSweep:
             e = softdtw_gradient(c, 1e-8)
         assert np.all((e >= 0.0) & (e <= 1.0))
 
-    def test_gradient_peak_is_four_lattices_beyond_its_input(self):
+    def test_gradient_peak_is_three_lattices_and_a_block_beyond_its_input(self, monkeypatch):
         # At the peak: D (which takes the diagonal weights), the vertical
-        # weights (which take E), the horizontal weights and one temporary.
+        # weights (which take E), the horizontal weights and the scratch
+        # block of the diagonal weights. At 256x256 the default block is a
+        # whole lattice, so a sixteenth of one stands in for it here.
+        from softalign import alignment
+
+        monkeypatch.setattr(alignment, "_WEIGHT_BLOCK", 1 << 12)
         c = np.random.default_rng(0).random((256, 256))
         softdtw_gradient(c, 1.0)  # builds and caches the shape's diagonal schedule
         tracemalloc.start()
@@ -439,7 +444,7 @@ class TestBackwardSweep:
         finally:
             tracemalloc.stop()
         assert e.shape == c.shape
-        assert peak <= 4 * c.nbytes + 64 * 1024
+        assert peak <= 3 * c.nbytes + alignment._WEIGHT_BLOCK * 8 + 64 * 1024
 
     @pytest.mark.parametrize("shapes", [[(7, 9)], [(7, 9), (1, 1), (3, 12), (12, 2), (5, 5), (9, 9)]])
     def test_costs_are_left_untouched(self, shapes):
@@ -453,6 +458,86 @@ class TestBackwardSweep:
         d = _pack(_unpack(_forward_fill(_pack(costs), 1.0), shapes), at_end=True)
         _backward_fill(c, d, 1.0, shapes)
         assert c.tobytes() == before
+
+
+def _reference_band_backward_fill(c, d, g, shapes):
+    """The backward pass as it was before its diagonal weights were built in
+    blocks: each item's three weights in one band-sized temporary apiece,
+    with all three weight arrays and D alive at once."""
+    from softalign.alignment import _flat, _interior_diagonals
+
+    n, m = c.shape[-2:]
+    wv, wh, wd = np.zeros(c.shape), np.zeros(c.shape), d
+    stacks = [a.reshape(-1, n, m) for a in (c, d, wv, wh, wd)]
+    for b, (rows, cols) in enumerate(shapes):
+        cb, db, *ws = (a[b, n - rows :].reshape(-1) for a in stacks)
+        for w, step in zip(ws, (m, 1, m + 1)):
+            x = db[step:] - cb[step:]
+            x -= db[:-step]
+            x /= g
+            np.exp(np.minimum(x, 0.0, out=x), out=w[:-step])
+            w.reshape(rows, m)[:, : m - cols] = 0.0
+    e = wv
+    e[..., -1, -1] = 1.0
+    e[..., -1, -2::-1] = np.cumprod(wh[..., -1, -2::-1], axis=-1)
+    e[..., -2::-1, -1] = np.cumprod(wv[..., -2::-1, -1], axis=-1)
+    ef, vf, hf, df = (_flat(a)[::-1] for a in (e, wv, wh, wd))
+    for cur, diag, up, left in _interior_diagonals(n, m):
+        ef[cur] = vf[cur] * ef[up] + hf[cur] * ef[left] + df[cur] * ef[diag]
+    return np.clip(e, 0.0, 1.0, out=e)
+
+
+def _reference_occupancies(costs, gamma):
+    """Per-item E of the band-built reference, from one stacked forward pass."""
+    from softalign.alignment import _forward_fill, _pack, _unpack
+
+    shapes = [c.shape for c in costs]
+    d = _pack(_unpack(_forward_fill(_pack(costs), gamma), shapes), at_end=True)
+    e = _reference_band_backward_fill(_pack(costs, at_end=True), d, gamma, shapes)
+    return _unpack(e, shapes, at_end=True)
+
+
+class TestBlockedDiagonalWeights:
+    # The diagonal weights are written over D in blocks of _WEIGHT_BLOCK
+    # cells; a band holds rows * m - m - 1 of them, for its rows and the
+    # stack's width m. Every block size must give the band-built E exactly.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["random", "ties", "negative", "huge"]),
+        st.integers(0, 2**31 - 1),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=4),
+        st.sampled_from([1e-3, 1.0, 20.0]),
+    )
+    @example("random", 1, [(1, 9)], 1.0)  # N = 1: no diagonal weight at all
+    @example("ties", 2, [(9, 1)], 20.0)  # M = 1
+    @example("random", 3, [(3, 4), (1, 1)], 1e-3)  # 7 cells: a band ends on the edge of a 7-block
+    @example("negative", 4, [(4, 3)], 1.0)  # 8 cells: a 7-block, then a tail of 1
+    @example("huge", 5, [(12, 12), (5, 12), (12, 3)], 1e-3)  # 131, 47 and 131 cells: tails of 1 to 11
+    def test_every_block_size_gives_the_band_built_occupancy(self, kind, seed, shapes, gamma):
+        from softalign import alignment
+
+        costs = [_hard_case_costs(kind, seed + b, n, m) for b, (n, m) in enumerate(shapes)]
+        reference = _reference_occupancies(costs, gamma)
+        m = max(cols for _, cols in shapes)
+        for block in (1, 2, 7, m, m + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(alignment, "_WEIGHT_BLOCK", block)
+                _, batched = alignment._costs_and_gradients(list(costs), gamma)  # it empties its list
+                for c, e, occupancy in zip(costs, reference, batched, strict=True):
+                    assert np.array_equal(occupancy, e)
+                    assert np.array_equal(softdtw_gradient(c, gamma), e)
+
+    def test_lattice_larger_than_a_block_does_not_overflow_at_tiny_gamma(self):
+        # The intent of test_huge_costs_at_tiny_gamma_do_not_overflow, at a
+        # size whose diagonal weights take two blocks of the default size.
+        from softalign.alignment import _WEIGHT_BLOCK
+
+        c = _hard_case_costs("huge", 0, 260, 260)
+        assert 259 * 260 - 1 > _WEIGHT_BLOCK
+        with np.errstate(over="raise", invalid="raise"):
+            e = softdtw_gradient(c, 1e-8)
+            assert np.array_equal(e, _reference_occupancies([c], 1e-8)[0])
+        assert np.all((e >= 0.0) & (e <= 1.0))
 
 
 def _stacked(items, at_end=False):

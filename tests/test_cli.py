@@ -500,6 +500,22 @@ class TestFailedCommands:
         line = assert_one_error(proc.returncode, proc.stdout, proc.stderr)
         assert line == f"error: {ref}: piano roll entries must all be exactly 0 or 1"
 
+    # gamma at both ends of float64, out of process as a shell runs it: at
+    # 1e308 D itself overflows, and at 5e-324 a cost difference divided by
+    # gamma does. Under either warning filter each is one error naming gamma.
+    @pytest.mark.parametrize("argv, cause", [
+        (("train", "--gamma", "1e308"), "subtract"),
+        (("gradcheck", "--gamma", "1e308"), "subtract"),
+        (("train", "--gamma", "5e-324"), "divide"),
+        (("gradcheck", "--gamma", "5e-324"), "divide"),
+    ])
+    @pytest.mark.parametrize("python_flags", [("-X", "dev", "-W", "error"), ()], ids=["warnings-as-errors", "default"])
+    def test_gamma_out_of_float64_range_is_one_error(self, argv, cause, python_flags):
+        proc = run_cli_process(*argv, python_flags=python_flags)
+        line = assert_one_error(proc.returncode, proc.stdout, proc.stderr)
+        assert line == (f"error: gamma {float(argv[-1])!r} takes soft-DTW out of float64's range: "
+                        f"overflow encountered in {cause}")
+
     # Finite inputs whose squared differences overflow (2 frames of 1e200), and
     # whose costs (about 4e306) are finite but whose 200-cell border sums overflow.
     @pytest.mark.parametrize("x, y", [
